@@ -61,6 +61,7 @@ from .queries import (
     answers,
     entails,
     homomorphisms,
+    witnesses,
 )
 from .relational import (
     Block,
@@ -93,6 +94,7 @@ from .repairs import (
     RepairDistribution,
     RepairingChain,
     RepairingSequence,
+    answer_probabilities,
     build_chain,
     candidate_repairs,
     canonical_sequences,

@@ -47,15 +47,15 @@ from .instances import (
     gen_hcoloring_instance,
     gen_pos2dnf_instance,
 )
-from .queries import Atom, ConjunctiveQuery, Constant, Variable, entails
+from .queries import Atom, ConjunctiveQuery, Constant, Variable
 from .relational import Database, FunctionalDependency, Schema, fact, is_primary_keys
 from .repairs import (
     DEFAULT_TREE_CAP,
     GENERATORS,
+    answer_probabilities,
     build_chain,
     candidate_repairs,
     canonical_sequences,
-    repair_distribution,
     sequence_count,
 )
 from .sampling import RandomSource, sample_outcome
@@ -262,16 +262,13 @@ def cmd_exact(args, out) -> int:
     kind = GENERATORS[args.generator]
     targets = _answer_targets(args, q, db)
     start = time.perf_counter()
-    dist = repair_distribution(db, sigma, kind, cap=args.cap)
-    results = []
-    for c in targets:
-        p = sum(
-            (weight for repair, weight in dist.items() if entails(repair, q, c)),
-            Fraction(0),
-        )
-        results.append((c, p))
+    # --all-answers evaluates only the tuples that have a witness
+    probs = answer_probabilities(
+        db, sigma, kind, q, None if args.all_answers else targets, cap=args.cap
+    )
     wall = time.perf_counter() - start
-    for c, p in results:
+    for c in targets:
+        p = probs.get(c, Fraction(0))
         _emit(
             _record(
                 "exact",

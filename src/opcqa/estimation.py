@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SizeCapError, UnsupportedCombinationError
-from .queries import ConjunctiveQuery, entails
+from .queries import ConjunctiveQuery, mask_entails, witness_masks, witnesses
 from .relational import Database, FunctionalDependency, is_keys, is_primary_keys
 from .repairs import DEFAULT_TREE_CAP, GeneratorKind, _space
 from .sampling import GOLDEN, STREAM, RandomSource, _key_blocks, sample_outcome
@@ -213,7 +213,9 @@ def adaptive_success_quota(epsilon: Fraction, delta: Fraction) -> int:
 # draws from RandomSource(seed, base + t) and reports whether the sampled
 # repair entails the answer. The scalar stream is the reference; the
 # vector streams reproduce its draws exactly (same SplitMix64 outputs,
-# same rejection rule, same consumption order).
+# same rejection rule, same consumption order). Every stream evaluates
+# the query once, on the full database, and tests a repair by whether it
+# keeps one of the answer's witnesses.
 
 _CHUNK = 1 << 16
 _VECTOR_MASK_LIMIT = 16
@@ -239,16 +241,15 @@ class _ScalarStream:
 
     def __init__(self, db, sigma, kind, q, answer):
         self._args = (db, sigma, kind)
-        self._q = q
-        self._answer = answer
+        self._witnesses = witnesses(q, db, answer).get(answer, ())
 
     def batch(self, seed: int, base: int, count: int) -> np.ndarray:
         db, sigma, kind = self._args
         out = np.empty(count, dtype=np.uint8)
         for t in range(count):
             rng = RandomSource(seed, base + t)
-            repair = sample_outcome(db, sigma, kind, rng).repair
-            out[t] = entails(repair, self._q, self._answer)
+            kept = sample_outcome(db, sigma, kind, rng).repair.facts
+            out[t] = any(w <= kept for w in self._witnesses)
         return out
 
 
@@ -263,6 +264,7 @@ class _UoWalkStream:
     def __init__(self, db, sigma, kind, q, answer):
         space = _space(db, frozenset(sigma))
         masks = space.reachable_masks(kind.singleton_only, DEFAULT_TREE_CAP)
+        witness = space.answer_masks(q, answer).get(answer, ())
         index = {m: i for i, m in enumerate(masks)}
         counts, offsets, children = [], [], []
         indicator = np.zeros(len(masks), dtype=np.uint8)
@@ -273,7 +275,7 @@ class _UoWalkStream:
             for _, op_mask in ops:
                 children.append(index[mask & ~op_mask])
             if not ops:
-                indicator[i] = entails(space.database_of(mask), q, answer)
+                indicator[i] = mask_entails(witness, mask)
         self._root = index[space.full_mask]
         self._counts = np.asarray(counts, dtype=np.int64)
         self._offsets = np.asarray(offsets, dtype=np.int64)
@@ -314,38 +316,36 @@ class _UoWalkStream:
 class _UrBlockStream:
     """Vectorized uniform-repair draws under primary keys: one categorical
     draw per conflicting block per lane, entailment memoized over the
-    (small) space of block-choice combinations."""
+    (small) space of block-choice combinations. Block facts get one bit
+    each, in block order; facts outside the blocks are always kept."""
 
     def __init__(self, db, sigma, kind, q, answer):
-        nontrivial, always = _key_blocks(db, frozenset(sigma))
-        self._db = db
-        self._blocks = nontrivial
-        self._always = always
-        self._q = q
-        self._answer = answer
-        self._singleton = kind.singleton_only
+        nontrivial, _ = _key_blocks(db, frozenset(sigma))
         self._draws = [
             len(facts) if kind.singleton_only else len(facts) + 1
             for facts in nontrivial
         ]
-        self._memo: dict[int, int] = {}
         product = 1
         for n in self._draws:
             product *= n
         if product > 1 << 63:
             raise OverflowError("block-choice key exceeds 64 bits")
+        bit = {f: 1 << i for i, f in enumerate(f for facts in nontrivial for f in facts)}
+        self._bits = [[bit[f] for f in facts] for facts in nontrivial]
+        self._witness = witness_masks(witnesses(q, db, answer).get(answer, ()), bit)
+        self._memo: dict[int, int] = {}
 
     def _indicator_of(self, key: int) -> int:
         cached = self._memo.get(key)
         if cached is not None:
             return cached
-        kept = set(self._always)
+        kept = 0
         rest = key
-        for facts, n in zip(reversed(self._blocks), reversed(self._draws)):
+        for bits, n in zip(reversed(self._bits), reversed(self._draws)):
             rest, choice = divmod(rest, n)
-            if choice < len(facts):
-                kept.add(facts[choice])
-        value = int(entails(self._db.restrict(frozenset(kept)), self._q, self._answer))
+            if choice < len(bits):
+                kept |= bits[choice]
+        value = int(mask_entails(self._witness, kept))
         self._memo[key] = value
         return value
 
@@ -377,6 +377,7 @@ class _UrBlockStream:
 
 def _indicator_stream(db, sigma, kind, q, answer):
     sigma = frozenset(sigma)
+    answer = tuple(answer)
     if kind.family in ("ur", "us") and not is_primary_keys(sigma, db.schema):
         raise UnsupportedCombinationError(
             f"no {kind.label} sampler beyond primary keys; uo/uo1 work for any FDs"
@@ -489,7 +490,7 @@ def estimate_adaptive(
     stream = _indicator_stream(db, sigma, kind, q, c)
     hits = 0
     drawn = 0
-    batch = 4096
+    batch = quota  # fewer draws cannot meet the quota
     while drawn < config.max_samples:
         size = min(batch, config.max_samples - drawn)
         arr = (

@@ -3,12 +3,17 @@
 Evaluation is plain backtracking in listed-atom order, which is all the
 test instances need; no join reordering, no indexes beyond a per-relation
 fact list.
+
+Repair-based answering evaluates the query once, on the full database:
+a sub-database returns an answer tuple iff it contains one of the
+tuple's witnesses (minimal homomorphism images), so a residual is
+tested by a subset check instead of a fresh search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import SchemaError
 from .relational import Database, Fact, Schema
@@ -23,6 +28,9 @@ __all__ = [
     "homomorphisms",
     "answers",
     "entails",
+    "witnesses",
+    "witness_masks",
+    "mask_entails",
 ]
 
 
@@ -122,28 +130,47 @@ def _match(atom: Atom, f: Fact, binding: dict[Variable, str]) -> dict[Variable, 
     return extended
 
 
+def _extensions(
+    q: ConjunctiveQuery, db: Database, answer: tuple[str, ...] | None = None
+) -> Iterator[tuple[dict[Variable, str], tuple[Fact, ...]]]:
+    """Every homomorphism of the query into db, lazily, with the facts its
+    atoms map onto; only those returning the answer tuple when one is
+    given. Atoms are matched in the order listed, candidate facts in
+    canonical fact order."""
+    seed: dict[Variable, str] = {}
+    if answer is not None and len(answer) != len(q.answer_variables):
+        raise SchemaError(
+            f"answer arity {len(answer)} does not match query head arity "
+            f"{len(q.answer_variables)}"
+        )
+    q.validate(db.schema)
+    for var, value in zip(q.answer_variables, answer or ()):
+        if seed.setdefault(var, value) != value:
+            return iter(())  # a repeated head variable asked for two values
+    by_relation = {
+        atom.relation: db.facts_of(atom.relation) for atom in q.atoms
+    }
+
+    def extend(i: int, binding: dict[Variable, str], chosen: tuple[Fact, ...]):
+        if i == len(q.atoms):
+            yield binding, chosen
+            return
+        atom = q.atoms[i]
+        for f in by_relation[atom.relation]:
+            ext = _match(atom, f, binding)
+            if ext is not None:
+                yield from extend(i + 1, ext, chosen + (f,))
+
+    return extend(0, seed, ())
+
+
 def homomorphisms(q: ConjunctiveQuery, db: Database) -> Iterator[Homomorphism]:
     """All assignments of the query's variables that satisfy every atom.
 
     Deterministic order: atoms are matched in the order listed, candidate
     facts in canonical fact order.
     """
-    q.validate(db.schema)
-    by_relation = {
-        atom.relation: db.facts_of(atom.relation) for atom in q.atoms
-    }
-
-    def extend(i: int, binding: dict[Variable, str]) -> Iterator[Homomorphism]:
-        if i == len(q.atoms):
-            yield dict(binding)
-            return
-        atom = q.atoms[i]
-        for f in by_relation[atom.relation]:
-            ext = _match(atom, f, binding)
-            if ext is not None:
-                yield from extend(i + 1, ext)
-
-    return extend(0, {})
+    return (dict(binding) for binding, _ in _extensions(q, db))
 
 
 def answers(q: ConjunctiveQuery, db: Database) -> set[tuple[str, ...]]:
@@ -156,25 +183,53 @@ def answers(q: ConjunctiveQuery, db: Database) -> set[tuple[str, ...]]:
 
 def entails(db: Database, q: ConjunctiveQuery, answer: tuple[str, ...] = ()) -> bool:
     """Does the database return this answer tuple for the query?"""
-    if len(answer) != len(q.answer_variables):
-        raise SchemaError(
-            f"answer arity {len(answer)} does not match query head arity "
-            f"{len(q.answer_variables)}"
-        )
-    q.validate(db.schema)
-    by_relation = {
-        atom.relation: db.facts_of(atom.relation) for atom in q.atoms
-    }
-    seed = dict(zip(q.answer_variables, answer))
+    return any(True for _ in _extensions(q, db, answer))
 
-    def extend(i: int, binding: dict[Variable, str]) -> bool:
-        if i == len(q.atoms):
-            return True
-        atom = q.atoms[i]
-        for f in by_relation[atom.relation]:
-            ext = _match(atom, f, binding)
-            if ext is not None and extend(i + 1, ext):
-                return True
-        return False
 
-    return extend(0, seed)
+def witnesses(
+    q: ConjunctiveQuery, db: Database, answer: tuple[str, ...] | None = None
+) -> dict[tuple[str, ...], tuple[frozenset[Fact], ...]]:
+    """Minimal homomorphism images of the query in db, by answer tuple.
+
+    Any sub-database of db returns answer c iff it contains one of c's
+    witnesses: a homomorphism into the sub-database is one into db whose
+    image survived, and a superset of a surviving image adds nothing.
+    Answer tuples without a homomorphism are absent. Given an answer,
+    only that tuple is searched (its key is absent if it has no witness).
+    Witnesses come smallest first, ties in sorted-fact order.
+    """
+    images: dict[tuple[str, ...], set[frozenset[Fact]]] = {}
+    for binding, chosen in _extensions(q, db, answer):
+        c = tuple(binding[v] for v in q.answer_variables)
+        images.setdefault(c, set()).add(frozenset(chosen))
+    return {c: _minimal_sets(found) for c, found in images.items()}
+
+
+def _minimal_sets(sets: Iterable[frozenset[Fact]]) -> tuple[frozenset[Fact], ...]:
+    kept: list[frozenset[Fact]] = []
+    for s in sorted(sets, key=lambda s: (len(s), sorted(s))):
+        if not any(k <= s for k in kept):
+            kept.append(s)
+    return tuple(kept)
+
+
+def witness_masks(
+    witness_sets: Iterable[frozenset[Fact]], bit: Mapping[Fact, int]
+) -> tuple[int, ...]:
+    """Witnesses as bitmasks over an indexing of the facts that a repair
+    may delete, minimal ones only, smallest first.
+
+    Facts without a bit survive in every repair, so they drop out; an
+    empty mask means the answer holds in every repair.
+    """
+    masks = {sum(bit.get(f, 0) for f in w) for w in witness_sets}
+    kept: list[int] = []
+    for m in sorted(masks, key=lambda m: (m.bit_count(), m)):
+        if not any(k & m == k for k in kept):
+            kept.append(m)
+    return tuple(kept)
+
+
+def mask_entails(masks: Iterable[int], residual: int) -> bool:
+    """Does the residual (a bitmask of surviving facts) keep a witness?"""
+    return any(m & residual == m for m in masks)

@@ -12,17 +12,22 @@ fact pair alone, so the justified operations of a residual depend only
 on which facts remain. The explicit tree is still materialized by
 build_chain for golden tests and the chain-dump command, and the two
 views are cross-checked in the test suite.
+
+Query answers are read off the same bitmask view: the query is evaluated
+once on the full database, and a residual returns an answer iff it keeps
+one of the answer's witness masks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .errors import SizeCapError
-from .queries import ConjunctiveQuery, entails
+from .queries import ConjunctiveQuery, mask_entails, witness_masks, witnesses
 from .relational import (
     Database,
     Fact,
@@ -56,6 +61,7 @@ __all__ = [
     "build_chain",
     "leaf_distribution",
     "repair_distribution",
+    "answer_probabilities",
     "exact_answer_probability",
     "realize_repair",
 ]
@@ -121,15 +127,22 @@ class RepairingSequence:
         require_complete: bool = True,
     ) -> None:
         """Raise unless every step is justified in its residual (and the
-        final residual is consistent, unless told otherwise)."""
-        sigma = frozenset(sigma)
-        current = db
+        final residual is consistent, unless told otherwise).
+
+        A pair violates an FD whatever else is present, so the check runs
+        on the bitmask view: a step is justified when it lies inside a
+        conflicting pair that is still wholly present.
+        """
+        space = _space(db, frozenset(sigma))
+        mask = space.full_mask
         for pos, op in enumerate(self.ops):
-            pairs = violations(current, sigma).pairs
-            if not any(op.removed <= pair for pair in pairs):
+            om = space.mask_of(op.removed)
+            if om is None or not any(
+                em & mask == em and om & em == om for em in space.edge_masks
+            ):
                 raise ValueError(f"operation {op} at position {pos} is not justified")
-            current = current.restrict(current.facts - op.removed)
-        if require_complete and violations(current, sigma):
+            mask &= ~om
+        if require_complete and not space.consistent(mask):
             raise ValueError("sequence is not complete: residual still violates the FDs")
 
     def __str__(self) -> str:
@@ -196,6 +209,7 @@ class _Space:
         self.n = len(self.facts)
         self.full_mask = (1 << self.n) - 1
         index = {f: i for i, f in enumerate(self.facts)}
+        self.bit: dict[Fact, int] = {f: 1 << i for f, i in index.items()}
         self.edges: tuple[tuple[int, int], ...] = tuple(
             sorted(tuple(sorted(index[f] for f in pair)) for pair in pairs)
         )
@@ -204,8 +218,10 @@ class _Space:
         )
         self.untouched: frozenset[Fact] = db.facts - frozenset(involved)
         self._ops_memo: dict[tuple[int, bool], tuple[tuple[tuple[int, ...], int], ...]] = {}
-        self._leaf_memo: dict[tuple[int, bool], int] = {}
-        self._node_memo: dict[tuple[int, bool], int] = {}
+        # one memo per mode (indexed by singleton_only), so that a cap
+        # counts only the states of its own mode
+        self._leaf_memo: tuple[dict[int, int], dict[int, int]] = ({}, {})
+        self._node_memo: tuple[dict[int, int], dict[int, int]] = ({}, {})
 
     def consistent(self, mask: int) -> bool:
         return all(em & mask != em for em in self.edge_masks)
@@ -230,6 +246,27 @@ class _Space:
         self._ops_memo[key] = out
         return out
 
+    def mask_of(self, facts: Iterable[Fact]) -> int | None:
+        """Mask of conflict facts, or None if one of them is in no conflict."""
+        out = 0
+        for f in facts:
+            b = self.bit.get(f)
+            if b is None:
+                return None
+            out |= b
+        return out
+
+    def answer_masks(
+        self, q: ConjunctiveQuery, answer: tuple[str, ...] | None = None
+    ) -> dict[tuple[str, ...], tuple[int, ...]]:
+        """The query's minimal witnesses per answer tuple, as masks over
+        the conflict facts (see queries.witness_masks); only the given
+        answer's when one is given."""
+        return {
+            c: witness_masks(found, self.bit)
+            for c, found in witnesses(q, self.db, answer).items()
+        }
+
     def database_of(self, mask: int) -> Database:
         kept = frozenset(self.facts[i] for i in range(self.n) if mask >> i & 1)
         return self.db.restrict(kept | self.untouched)
@@ -238,43 +275,45 @@ class _Space:
         return Operation(frozenset(self.facts[i] for i in idx))
 
     # -- tree-size and leaf counts, shared across sequence nodes with the
-    # -- same residual (the subtree below a node depends only on its mask)
+    # -- same residual (the subtree below a node depends only on its mask).
+    # -- A walk from the full mask memoises each reachable state of its mode
+    # -- once; the memo check runs on every return, hits included, so a walk
+    # -- fails on more than cap + 1 states however much an earlier call
+    # -- stored.
 
-    def leaf_count(self, mask: int, singleton_only: bool, cap: int) -> int:
-        key = (mask, singleton_only)
-        hit = self._leaf_memo.get(key)
-        if hit is not None:
-            return hit
-        ops = self.ops(mask, singleton_only)
-        if not ops:
-            out = 1
-        else:
-            out = sum(
-                self.leaf_count(mask & ~om, singleton_only, cap) for _, om in ops
-            )
-        if len(self._leaf_memo) > cap:
+    @staticmethod
+    def _charge(memo: dict[int, int], cap: int) -> None:
+        if len(memo) > cap + 1:
             raise SizeCapError(
                 f"over {cap} distinct residual states; the repairing tree "
                 "is at least that large"
             )
-        self._leaf_memo[key] = out
+
+    def leaf_count(self, mask: int, singleton_only: bool, cap: int) -> int:
+        memo = self._leaf_memo[singleton_only]
+        out = memo.get(mask)
+        if out is None:
+            ops = self.ops(mask, singleton_only)
+            if not ops:
+                out = 1
+            else:
+                out = sum(
+                    self.leaf_count(mask & ~om, singleton_only, cap) for _, om in ops
+                )
+            memo[mask] = out
+        self._charge(memo, cap)
         return out
 
     def tree_node_count(self, mask: int, singleton_only: bool, cap: int) -> int:
-        key = (mask, singleton_only)
-        hit = self._node_memo.get(key)
-        if hit is not None:
-            return hit
-        ops = self.ops(mask, singleton_only)
-        out = 1 + sum(
-            self.tree_node_count(mask & ~om, singleton_only, cap) for _, om in ops
-        )
-        if len(self._node_memo) > cap:
-            raise SizeCapError(
-                f"over {cap} distinct residual states; the repairing tree "
-                "is at least that large"
+        memo = self._node_memo[singleton_only]
+        out = memo.get(mask)
+        if out is None:
+            ops = self.ops(mask, singleton_only)
+            out = 1 + sum(
+                self.tree_node_count(mask & ~om, singleton_only, cap) for _, om in ops
             )
-        self._node_memo[key] = out
+            memo[mask] = out
+        self._charge(memo, cap)
         return out
 
     def reachable_masks(self, singleton_only: bool, cap: int) -> list[int]:
@@ -299,6 +338,18 @@ class _Space:
 @lru_cache(maxsize=256)
 def _space(db: Database, sigma: frozenset[FunctionalDependency]) -> _Space:
     return _Space(db, sigma)
+
+
+@contextmanager
+def _recursion_as_cap() -> Iterator[None]:
+    """Report a walk too deep for the interpreter's stack as a size cap.
+    The tree walks recurse once per operation of a sequence."""
+    try:
+        yield
+    except RecursionError:
+        raise SizeCapError(
+            "repairing sequences are too long for a recursive walk of the tree"
+        ) from None
 
 
 def _ensure_tree_budget(space: _Space, singleton_only: bool, cap: int) -> int:
@@ -350,6 +401,7 @@ def _sequence_of(space: _Space, path: tuple[tuple[int, ...], ...]) -> RepairingS
     return RepairingSequence(tuple(space.operation_of(idx) for idx in path))
 
 
+@_recursion_as_cap()
 def enumerate_sequences(
     db: Database,
     sigma: Iterable[FunctionalDependency],
@@ -382,6 +434,7 @@ def candidate_repairs(
     }
 
 
+@_recursion_as_cap()
 def sequence_count(
     db: Database,
     sigma: Iterable[FunctionalDependency],
@@ -407,6 +460,7 @@ def _canonical_paths(
     return chosen
 
 
+@_recursion_as_cap()
 def canonical_sequences(
     db: Database,
     sigma: Iterable[FunctionalDependency],
@@ -509,6 +563,7 @@ class RepairingChain:
         }
 
 
+@_recursion_as_cap()
 def build_chain(
     db: Database,
     sigma: Iterable[FunctionalDependency],
@@ -601,29 +656,23 @@ class RepairDistribution:
         return len(self.probs)
 
 
-def repair_distribution(
-    db: Database,
-    sigma: Iterable[FunctionalDependency],
-    kind: GeneratorKind,
-    cap: int = DEFAULT_TREE_CAP,
-) -> RepairDistribution:
-    """Exact distribution over candidate repairs for one generator.
+def _mask_distribution(
+    space: _Space, kind: GeneratorKind, cap: int
+) -> dict[int, Fraction]:
+    """Exact probability of each candidate repair, keyed by its mask.
 
     Uniform-repairs is uniform over the candidate repairs and
     uniform-sequences weights each repair by its number of complete
     sequences, so both reduce to counting on the subset graph; the
-    uniform-operations walk is propagated forward across it. All three
-    agree with the materialized chain (cross-checked in tests).
+    uniform-operations walk is propagated forward across it.
     """
-    sigma = frozenset(sigma)
-    space = _space(db, sigma)
     singleton = kind.singleton_only
     masks = space.reachable_masks(singleton, cap)
 
     if kind.family == "ur":
         repairs = [m for m in masks if space.consistent(m)]
         share = Fraction(1, len(repairs))
-        return RepairDistribution({space.database_of(m): share for m in repairs})
+        return {m: share for m in repairs}
 
     if kind.family == "us":
         paths: dict[int, int] = {space.full_mask: 1}
@@ -636,9 +685,7 @@ def repair_distribution(
                 paths[child] = paths.get(child, 0) + weight
         leaves = {m: paths[m] for m in masks if space.consistent(m) and paths.get(m)}
         total = sum(leaves.values())
-        return RepairDistribution(
-            {space.database_of(m): Fraction(w, total) for m, w in leaves.items()}
-        )
+        return {m: Fraction(w, total) for m, w in leaves.items()}
 
     mass: dict[int, Fraction] = {space.full_mask: Fraction(1)}
     for mask in masks:
@@ -650,13 +697,57 @@ def repair_distribution(
         for _, om in ops:
             child = mask & ~om
             mass[child] = mass.get(child, Fraction(0)) + share
+    return {m: mass[m] for m in masks if space.consistent(m) and mass.get(m)}
+
+
+def repair_distribution(
+    db: Database,
+    sigma: Iterable[FunctionalDependency],
+    kind: GeneratorKind,
+    cap: int = DEFAULT_TREE_CAP,
+) -> RepairDistribution:
+    """Exact distribution over candidate repairs for one generator,
+    computed on the subset graph; agrees with the materialized chain
+    (cross-checked in tests)."""
+    space = _space(db, frozenset(sigma))
     return RepairDistribution(
         {
-            space.database_of(m): mass[m]
-            for m in masks
-            if space.consistent(m) and mass.get(m)
+            space.database_of(m): p
+            for m, p in _mask_distribution(space, kind, cap).items()
         }
     )
+
+
+def answer_probabilities(
+    db: Database,
+    sigma: Iterable[FunctionalDependency],
+    kind: GeneratorKind,
+    q: ConjunctiveQuery,
+    answers: Iterable[tuple[str, ...]] | None = None,
+    cap: int = DEFAULT_TREE_CAP,
+) -> dict[tuple[str, ...], Fraction]:
+    """Probability that a repair drawn from the generator's distribution
+    returns each answer tuple: the given tuples, or every tuple that has
+    a witness in the database (any other tuple has probability 0).
+
+    The query is evaluated once, on the full database; each repair is
+    then tested by a subset check of the answer's witness masks.
+    """
+    space = _space(db, frozenset(sigma))
+    dist = _mask_distribution(space, kind, cap)
+    if answers is None:
+        found = space.answer_masks(q)
+    else:
+        found = {}
+        for c in map(tuple, answers):
+            found.update(space.answer_masks(q, c))
+            found.setdefault(c, ())
+    return {
+        c: sum(
+            (p for m, p in dist.items() if mask_entails(masks, m)), Fraction(0)
+        )
+        for c, masks in found.items()
+    }
 
 
 def exact_answer_probability(
@@ -669,12 +760,8 @@ def exact_answer_probability(
 ) -> Fraction:
     """Probability that a repair drawn from the generator's distribution
     returns the answer tuple."""
-    dist = repair_distribution(db, sigma, kind, cap)
-    total = Fraction(0)
-    for repair, p in dist.items():
-        if p and entails(repair, q, c):
-            total += p
-    return total
+    c = tuple(c)
+    return answer_probabilities(db, sigma, kind, q, [c], cap)[c]
 
 
 # ---------------------------------------------------------------------------

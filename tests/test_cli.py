@@ -123,6 +123,33 @@ def test_exact_all_answers(files, capsys):
     assert by_tuple[("a1",)] == "0/1"
 
 
+def test_exact_all_answers_lists_every_tuple_like_single_tuples(files, capsys):
+    inst = files("triple.json", TRIPLE_DOC)
+    query = files("q2.json", {
+        "answer_vars": ["x", "y"],
+        "atoms": [
+            {"relation": "R", "terms": [{"var": "x"}, {"var": "y"}, {"var": "z"}]},
+            {"relation": "R", "terms": [{"var": "w"}, {"var": "y"}, {"var": "z"}]},
+        ],
+    })
+    adom = sorted({v for row in TRIPLE_DOC["facts"] for v in row[1:]})
+    for generator in ("ur", "us", "uo", "ur1", "us1", "uo1"):
+        code, records, _ = run(
+            capsys, "exact", inst, query, "--generator", generator, "--all-answers"
+        )
+        assert code == 0
+        assert [r["tuple"] for r in records] == [[x, y] for x in adom for y in adom]
+        assert sum(r["probability"]["rational"] != "0/1" for r in records) == 3
+        for record in records:
+            code, (single,), _ = run(
+                capsys, "exact", inst, query, "--generator", generator,
+                "--tuple", ",".join(record["tuple"]),
+            )
+            assert code == 0
+            record.pop("wall_time_s"), single.pop("wall_time_s")
+            assert single == record
+
+
 def test_exact_boolean_query(files, capsys):
     inst = files("keyed.json", KEYED_DOC)
     query = files("bq.json", BOOLEAN_QUERY_DOC)
@@ -182,6 +209,22 @@ def test_count_on_general_fd_instance(files, capsys):
         code, records, _ = run(capsys, "count", inst, "--what", what)
         assert code == 0
         assert records[0]["count"] == value
+
+
+def test_count_on_deep_instance_exits_with_size_cap(files, capsys):
+    # every complete sequence of a 600-block ladder has at least 600
+    # operations, deeper than the recursive tree walk can go
+    doc = {
+        "schema": {"R": ["K", "V"]},
+        "facts": [["R", f"k{j}", f"v{i}"] for j in range(600) for i in range(3)],
+        "fds": [{"relation": "R", "lhs": ["K"], "rhs": ["V"]}],
+    }
+    code, records, err = run(
+        capsys, "count", files("deep.json", doc), "--what", "canonical"
+    )
+    assert code == 3
+    assert records == []
+    assert err.startswith("error:")
 
 
 # ---------------------------------------------------------------------------

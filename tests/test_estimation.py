@@ -181,6 +181,35 @@ def test_adaptive_estimate_on_worked_example():
     assert abs(est.value - Fraction(1, 4)) <= Fraction(1, 4) * Fraction(1, 20)
 
 
+# samples_used of the adaptive estimator for seeds 0..4 at eps 1/5 and
+# delta 1/10, as drawn with a fixed first batch of 4,096 trials: the
+# stopping trial is a function of the seed, not of the batch sizes.
+ADAPTIVE_PINNED = {
+    "us": [894, 918, 878, 864, 896],  # scalar stream: no vector path for us
+    "ur": [917, 919, 980, 836, 938],  # vector stream: block draws
+}
+
+
+@pytest.mark.parametrize("label", ["us", "ur"])
+def test_adaptive_first_batch_keeps_estimates(label):
+    db, sigma = keyed_instance()
+    kind, q, c = {
+        "us": (US, keyed_boolean_query(), ()),
+        "ur": (UR, keyed_query(), ("b2",)),
+    }[label]
+    cfg = EstimatorConfig(epsilon=Fraction(1, 5), delta=Fraction(1, 10), mode="adaptive")
+    quota = adaptive_success_quota(cfg.epsilon, cfg.delta)
+    assert quota == 217
+    stream = _indicator_stream(db, frozenset(sigma), kind, q, c)
+    assert isinstance(stream, _ScalarStream) == (label == "us")
+    for seed, used in enumerate(ADAPTIVE_PINNED[label]):
+        est = estimate_adaptive(db, sigma, kind, q, c, cfg, RandomSource(seed))
+        assert (est.value, est.samples_used) == (Fraction(quota, used), used)
+        # the quota-th success of one unbatched run of the stream
+        trials = stream.batch(seed, 0, used)
+        assert trials.sum() == quota and trials[-1] == 1
+
+
 def test_adaptive_cap_yields_flagged_mean():
     db, sigma = keyed_instance()
     cfg = EstimatorConfig(
@@ -274,6 +303,21 @@ def test_vectorized_streams_match_scalar_reference():
         got = fast.batch(97, 10, 400)
         want = slow.batch(97, 10, 400)
         assert np.array_equal(got, want), kind.label
+
+
+def test_stream_indicators_match_entailment_per_draw():
+    from opcqa import entails, sample_outcome
+
+    db, sigma = keyed_instance()
+    cases = [(UR, keyed_query(), ("b1",)), (UO, keyed_query(), ("b2",)),
+             (US1, keyed_boolean_query(), ()), (UO1, keyed_query(), ("b9",))]
+    for kind, q, answer in cases:
+        got = _indicator_stream(db, frozenset(sigma), kind, q, answer).batch(5, 0, 300)
+        want = [
+            entails(sample_outcome(db, sigma, kind, RandomSource(5, t)).repair, q, answer)
+            for t in range(300)
+        ]
+        assert got.tolist() == want, kind.label
 
 
 def test_thread_count_does_not_change_results():

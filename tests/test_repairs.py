@@ -183,6 +183,34 @@ def test_triple_singleton_sequences_in_dfs_order():
     ]
 
 
+def test_cap_outcome_does_not_depend_on_earlier_calls():
+    """Each call's outcome is a function of (instance, mode, cap), in
+    every order of the calls, on equal databases sharing one cache."""
+    from itertools import permutations
+
+    from opcqa.repairs import _space
+
+    db, sigma = keyed_instance()
+    calls = {
+        "pairs": (dict(), 99),
+        "singletons": (dict(singleton_only=True), 36),
+        # the singleton space has 21 residual states: cap 20 passes
+        "singletons cap 20": (dict(singleton_only=True, cap=20), 36),
+        "singletons cap 19": (dict(singleton_only=True, cap=19), SizeCapError),
+        "pairs cap 20": (dict(cap=20), SizeCapError),
+    }
+    for order in permutations(calls):
+        _space.cache_clear()
+        for name in order:
+            kwargs, want = calls[name]
+            equal_db = Database.of(db.schema, db.facts)
+            if want is SizeCapError:
+                with pytest.raises(SizeCapError):
+                    sequence_count(equal_db, sigma, **kwargs)
+            else:
+                assert sequence_count(equal_db, sigma, **kwargs) == want, (order, name)
+
+
 def test_enumeration_cap():
     db, sigma = keyed_instance()
     with pytest.raises(SizeCapError):
