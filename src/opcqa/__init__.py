@@ -18,7 +18,6 @@ from .counting import (
     count_candidate_repairs_singleton,
     count_complete_sequences,
     count_complete_sequences_singleton,
-    residual_sequence_count,
     sequence_count_for_profile,
 )
 from .errors import (
@@ -101,7 +100,6 @@ from .repairs import (
     enumerate_sequences,
     exact_answer_probability,
     justified_ops,
-    leaf_distribution,
     realize_repair,
     repair_distribution,
     sequence_count,

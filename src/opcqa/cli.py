@@ -378,7 +378,7 @@ def cmd_sample(args, out) -> int:
                 else [str(op) for op in outcome.sequence]
             ),
             "repair": [str(f) for f in outcome.repair.sorted_facts],
-            "weight": outcome.weight,
+            "weight": 1,
         }
         _emit(record, out)
     return 0

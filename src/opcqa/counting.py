@@ -10,6 +10,7 @@ probabilities divide Fractions elsewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 from typing import Iterable, Sequence
 
@@ -24,7 +25,6 @@ __all__ = [
     "count_candidate_repairs_singleton",
     "count_complete_sequences",
     "count_complete_sequences_singleton",
-    "residual_sequence_count",
     "sequence_count_for_profile",
 ]
 
@@ -34,7 +34,7 @@ __all__ = [
 #
 # A profile is the list of block sizes, in the deterministic block order.
 # Totals are invariant under reordering (tested), which is also why the
-# residual-count memo below may key on the sorted multiset.
+# profile-count cache below may key on the sorted multiset.
 # ---------------------------------------------------------------------------
 
 
@@ -231,14 +231,8 @@ def sequence_count_for_profile(sizes: Sequence[int], singleton_only: bool = Fals
     return _profile_count(nontrivial, singleton_only)
 
 
-_PROFILE_MEMO: dict[tuple[tuple[int, ...], bool], int] = {}
-
-
+@lru_cache(maxsize=4096)
 def _profile_count(nontrivial: tuple[int, ...], singleton_only: bool) -> int:
-    key = (nontrivial, singleton_only)
-    hit = _PROFILE_MEMO.get(key)
-    if hit is not None:
-        return hit
     if singleton_only:
         # Each block picks a survivor and an order for its m-1 removals
         # (m! ways); the per-block removal runs interleave freely.
@@ -248,7 +242,6 @@ def _profile_count(nontrivial: tuple[int, ...], singleton_only: bool) -> int:
             out = _exact_div(out * factorial(m), factorial(m - 1))
     else:
         out = build_sequence_count_table(nontrivial).total()
-    _PROFILE_MEMO[key] = out
     return out
 
 
@@ -262,17 +255,3 @@ def count_complete_sequences_singleton(
 ) -> int:
     profile = BlockProfile.from_database(db, frozenset(sigma))
     return sequence_count_for_profile(profile.sizes, singleton_only=True)
-
-
-def residual_sequence_count(
-    current: Database,
-    sigma: Iterable[FunctionalDependency],
-    singleton_only: bool = False,
-) -> int:
-    """|CRS| of a residual database, memoized by its block-size multiset.
-
-    The count depends only on the profile, so mid-sample residuals with
-    repeating shapes hit the memo instead of rerunning the DP.
-    """
-    profile = BlockProfile.from_database(current, frozenset(sigma))
-    return sequence_count_for_profile(profile.sizes, singleton_only)

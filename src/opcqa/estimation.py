@@ -33,7 +33,14 @@ from .errors import SizeCapError, UnsupportedCombinationError
 from .queries import ConjunctiveQuery, mask_entails, witness_masks, witnesses
 from .relational import Database, FunctionalDependency, is_keys, is_primary_keys
 from .repairs import DEFAULT_TREE_CAP, GeneratorKind, _space
-from .sampling import GOLDEN, STREAM, RandomSource, _key_blocks, sample_outcome
+from .sampling import (
+    GOLDEN,
+    STREAM,
+    RandomSource,
+    _key_blocks,
+    _require_sampler,
+    sample_outcome,
+)
 
 __all__ = [
     "E_OVER",
@@ -256,31 +263,23 @@ class _ScalarStream:
 class _UoWalkStream:
     """Vectorized uniform-operations walk over the subset DAG.
 
-    States are compact ids over reachable fact masks; each lane walks
-    root to leaf drawing ops with the exact 64-bit rejection rule of
-    RandomSource.randbelow. Usable whenever at most 16 facts take part
-    in conflicts."""
+    States are positions in the mode's cached residual DAG; each lane
+    walks root to leaf drawing ops with the exact 64-bit rejection rule
+    of RandomSource.randbelow. Usable whenever at most 16 facts take
+    part in conflicts."""
 
     def __init__(self, db, sigma, kind, q, answer):
         space = _space(db, frozenset(sigma))
-        masks = space.reachable_masks(kind.singleton_only, DEFAULT_TREE_CAP)
+        dag = space.dag(kind.singleton_only, DEFAULT_TREE_CAP)
         witness = space.answer_masks(q, answer).get(answer, ())
-        index = {m: i for i, m in enumerate(masks)}
-        counts, offsets, children = [], [], []
-        indicator = np.zeros(len(masks), dtype=np.uint8)
-        for i, mask in enumerate(masks):
-            ops = space.ops(mask, kind.singleton_only)
-            offsets.append(len(children))
-            counts.append(len(ops))
-            for _, op_mask in ops:
-                children.append(index[mask & ~op_mask])
-            if not ops:
-                indicator[i] = mask_entails(witness, mask)
-        self._root = index[space.full_mask]
-        self._counts = np.asarray(counts, dtype=np.int64)
-        self._offsets = np.asarray(offsets, dtype=np.int64)
-        self._children = np.asarray(children, dtype=np.int64)
-        self._indicator = indicator
+        starts = np.asarray(dag.starts, dtype=np.int64)
+        self._root = dag.root
+        self._counts = np.diff(starts)
+        self._offsets = starts[:-1]
+        self._children = np.asarray(dag.kids, dtype=np.int64)
+        self._indicator = np.zeros(len(dag.masks), dtype=np.uint8)
+        for i in dag.leaf_positions():
+            self._indicator[i] = mask_entails(witness, dag.masks[i])
         max_ops = int(self._counts.max(initial=0))
         rems = [(1 << 64) % c if c else 0 for c in range(max_ops + 1)]
         self._limit = np.asarray(
@@ -378,10 +377,7 @@ class _UrBlockStream:
 def _indicator_stream(db, sigma, kind, q, answer):
     sigma = frozenset(sigma)
     answer = tuple(answer)
-    if kind.family in ("ur", "us") and not is_primary_keys(sigma, db.schema):
-        raise UnsupportedCombinationError(
-            f"no {kind.label} sampler beyond primary keys; uo/uo1 work for any FDs"
-        )
+    _require_sampler(db, sigma, kind)
     if kind.family == "uo" and _space(db, sigma).n <= _VECTOR_MASK_LIMIT:
         return _UoWalkStream(db, sigma, kind, q, answer)
     if kind.family == "ur":

@@ -20,7 +20,6 @@ one of the answer's witness masks.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -59,7 +58,6 @@ __all__ = [
     "sequence_count",
     "canonical_sequences",
     "build_chain",
-    "leaf_distribution",
     "repair_distribution",
     "answer_probabilities",
     "exact_answer_probability",
@@ -142,7 +140,7 @@ class RepairingSequence:
             ):
                 raise ValueError(f"operation {op} at position {pos} is not justified")
             mask &= ~om
-        if require_complete and not space.consistent(mask):
+        if require_complete and any(em & mask == em for em in space.edge_masks):
             raise ValueError("sequence is not complete: residual still violates the FDs")
 
     def __str__(self) -> str:
@@ -192,6 +190,45 @@ GENERATORS = {k.label: k for k in (UR, US, UO, UR1, US1, UO1)}
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _Dag:
+    """The residuals of one mode reachable from the full database.
+
+    Residuals are listed in post-order, children before parents, so the
+    full mask comes last and a reversed sweep meets every parent before
+    its children. Residual i has the children kids[starts[i]:starts[i+1]]
+    (positions, in canonical operation order); leaves[i] counts the
+    complete sequences from it and nodes[i] the tree nodes below it,
+    itself included.
+    """
+
+    masks: list[int]
+    starts: list[int]
+    kids: list[int]
+    leaves: list[int]
+    nodes: list[int]
+
+    @property
+    def root(self) -> int:
+        return len(self.masks) - 1
+
+    def children(self, i: int) -> list[int]:
+        return self.kids[self.starts[i] : self.starts[i + 1]]
+
+    def leaf_positions(self) -> list[int]:
+        """Positions of the consistent residuals, the candidate repairs."""
+        s = self.starts
+        return [i for i in range(len(self.masks)) if s[i] == s[i + 1]]
+
+
+def _check_caps(states: int, nodes: int, cap: int, tree_cap: int | None) -> None:
+    """Raise once a count of residuals or of tree nodes is over its cap."""
+    if states > cap:
+        raise SizeCapError(f"over {cap} reachable residual databases")
+    if tree_cap is not None and nodes > tree_cap:
+        raise SizeCapError(f"repairing tree has over {tree_cap} nodes")
+
+
 class _Space:
     """Bitmask view of the facts involved in at least one conflict.
 
@@ -217,34 +254,89 @@ class _Space:
             (1 << i) | (1 << j) for i, j in self.edges
         )
         self.untouched: frozenset[Fact] = db.facts - frozenset(involved)
+        # memo of the step-by-step walks (samplers, tree enumeration)
         self._ops_memo: dict[tuple[int, bool], tuple[tuple[tuple[int, ...], int], ...]] = {}
-        # one memo per mode (indexed by singleton_only), so that a cap
-        # counts only the states of its own mode
-        self._leaf_memo: tuple[dict[int, int], dict[int, int]] = ({}, {})
-        self._node_memo: tuple[dict[int, int], dict[int, int]] = ({}, {})
+        # the residual DAG of each mode, indexed by singleton_only
+        self._dags: list[_Dag | None] = [None, None]
+        # A greedy matching of mu conflicting pairs gives at least 3^mu
+        # reachable residuals in either mode: each matched pair keeps both
+        # facts or loses either one, a deletion justified by its partner.
+        covered = 0
+        self.matching = 0
+        for em in self.edge_masks:
+            if not em & covered:
+                covered |= em
+                self.matching += 1
 
-    def consistent(self, mask: int) -> bool:
-        return all(em & mask != em for em in self.edge_masks)
+    def _justified(
+        self, mask: int, singleton_only: bool
+    ) -> tuple[tuple[tuple[int, ...], int], ...]:
+        found: dict[tuple[int, ...], int] = {}
+        for (i, j), em in zip(self.edges, self.edge_masks):
+            if em & mask == em:
+                found[(i,)] = 1 << i
+                found[(j,)] = 1 << j
+                if not singleton_only:
+                    found[(i, j)] = em
+        return tuple(sorted(found.items()))
 
     def ops(self, mask: int, singleton_only: bool) -> tuple[tuple[tuple[int, ...], int], ...]:
         """Justified operations of a residual, as (index tuple, op mask)
-        pairs in canonical order."""
+        pairs in canonical order; memoised for the step-by-step walks."""
         key = (mask, singleton_only)
         hit = self._ops_memo.get(key)
-        if hit is not None:
-            return hit
-        found: set[tuple[int, ...]] = set()
-        for (i, j), em in zip(self.edges, self.edge_masks):
-            if em & mask == em:
-                found.add((i,))
-                found.add((j,))
-                if not singleton_only:
-                    found.add((i, j))
-        out = tuple(
-            (idx, sum(1 << i for i in idx)) for idx in sorted(found)
-        )
-        self._ops_memo[key] = out
-        return out
+        if hit is None:
+            hit = self._ops_memo[key] = self._justified(mask, singleton_only)
+        return hit
+
+    def dag(self, singleton_only: bool, cap: int, tree_cap: int | None = None) -> _Dag:
+        """The residual DAG of a mode, built once and cached.
+
+        Fails on more than cap residuals, or on more than tree_cap tree
+        nodes when one is given, whatever an earlier call built; a walk
+        that fails caches nothing.
+        """
+        dag = self._dags[singleton_only]
+        if dag is None:
+            bound = 3**self.matching  # residuals, hence also tree nodes
+            _check_caps(bound, bound, cap, tree_cap)
+            dag = self._dags[singleton_only] = self._walk(singleton_only, cap, tree_cap)
+        _check_caps(len(dag.masks), dag.nodes[-1], cap, tree_cap)
+        return dag
+
+    def _walk(self, singleton_only: bool, cap: int, tree_cap: int | None) -> _Dag:
+        """Depth-first from the full mask on an explicit stack; a residual
+        is recorded once all its children are."""
+        index: dict[int, int] = {}
+        masks: list[int] = []
+        starts = [0]
+        kids: list[int] = []
+        leaves: list[int] = []
+        nodes: list[int] = []
+
+        def frame(mask: int):
+            children = [mask & ~om for _, om in self._justified(mask, singleton_only)]
+            return mask, children, iter(children)
+
+        stack = [frame(self.full_mask)]
+        while stack:
+            mask, children, pending = stack[-1]
+            for child in pending:
+                if child not in index:
+                    stack.append(frame(child))
+                    break
+            else:
+                stack.pop()
+                pos = [index[c] for c in children]
+                index[mask] = len(masks)
+                masks.append(mask)
+                kids.extend(pos)
+                starts.append(len(kids))
+                leaves.append(sum(leaves[p] for p in pos) or 1)
+                nodes.append(1 + sum(nodes[p] for p in pos))
+                # the whole tree contains this residual's subtree
+                _check_caps(len(masks), nodes[-1], cap, tree_cap)
+        return _Dag(masks, starts, kids, leaves, nodes)
 
     def mask_of(self, facts: Iterable[Fact]) -> int | None:
         """Mask of conflict facts, or None if one of them is in no conflict."""
@@ -274,89 +366,10 @@ class _Space:
     def operation_of(self, idx: tuple[int, ...]) -> Operation:
         return Operation(frozenset(self.facts[i] for i in idx))
 
-    # -- tree-size and leaf counts, shared across sequence nodes with the
-    # -- same residual (the subtree below a node depends only on its mask).
-    # -- A walk from the full mask memoises each reachable state of its mode
-    # -- once; the memo check runs on every return, hits included, so a walk
-    # -- fails on more than cap + 1 states however much an earlier call
-    # -- stored.
-
-    @staticmethod
-    def _charge(memo: dict[int, int], cap: int) -> None:
-        if len(memo) > cap + 1:
-            raise SizeCapError(
-                f"over {cap} distinct residual states; the repairing tree "
-                "is at least that large"
-            )
-
-    def leaf_count(self, mask: int, singleton_only: bool, cap: int) -> int:
-        memo = self._leaf_memo[singleton_only]
-        out = memo.get(mask)
-        if out is None:
-            ops = self.ops(mask, singleton_only)
-            if not ops:
-                out = 1
-            else:
-                out = sum(
-                    self.leaf_count(mask & ~om, singleton_only, cap) for _, om in ops
-                )
-            memo[mask] = out
-        self._charge(memo, cap)
-        return out
-
-    def tree_node_count(self, mask: int, singleton_only: bool, cap: int) -> int:
-        memo = self._node_memo[singleton_only]
-        out = memo.get(mask)
-        if out is None:
-            ops = self.ops(mask, singleton_only)
-            out = 1 + sum(
-                self.tree_node_count(mask & ~om, singleton_only, cap) for _, om in ops
-            )
-            memo[mask] = out
-        self._charge(memo, cap)
-        return out
-
-    def reachable_masks(self, singleton_only: bool, cap: int) -> list[int]:
-        """All residuals reachable from the full database, largest first
-        (a valid topological order: operations strictly shrink masks)."""
-        seen = {self.full_mask}
-        frontier = [self.full_mask]
-        while frontier:
-            mask = frontier.pop()
-            for _, om in self.ops(mask, singleton_only):
-                child = mask & ~om
-                if child not in seen:
-                    if len(seen) >= cap:
-                        raise SizeCapError(
-                            f"over {cap} reachable residual databases"
-                        )
-                    seen.add(child)
-                    frontier.append(child)
-        return sorted(seen, key=lambda m: (-bin(m).count("1"), -m))
-
 
 @lru_cache(maxsize=256)
 def _space(db: Database, sigma: frozenset[FunctionalDependency]) -> _Space:
     return _Space(db, sigma)
-
-
-@contextmanager
-def _recursion_as_cap() -> Iterator[None]:
-    """Report a walk too deep for the interpreter's stack as a size cap.
-    The tree walks recurse once per operation of a sequence."""
-    try:
-        yield
-    except RecursionError:
-        raise SizeCapError(
-            "repairing sequences are too long for a recursive walk of the tree"
-        ) from None
-
-
-def _ensure_tree_budget(space: _Space, singleton_only: bool, cap: int) -> int:
-    size = space.tree_node_count(space.full_mask, singleton_only, cap)
-    if size > cap:
-        raise SizeCapError(f"repairing tree has {size} nodes, cap is {cap}")
-    return size
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +414,6 @@ def _sequence_of(space: _Space, path: tuple[tuple[int, ...], ...]) -> RepairingS
     return RepairingSequence(tuple(space.operation_of(idx) for idx in path))
 
 
-@_recursion_as_cap()
 def enumerate_sequences(
     db: Database,
     sigma: Iterable[FunctionalDependency],
@@ -414,7 +426,7 @@ def enumerate_sequences(
     call fails before enumerating anything if it exceeds the cap.
     """
     space = _space(db, frozenset(sigma))
-    _ensure_tree_budget(space, singleton_only, cap)
+    space.dag(singleton_only, cap, tree_cap=cap)
     return [_sequence_of(space, path) for path, _ in _dfs_leaves(space, singleton_only)]
 
 
@@ -427,14 +439,10 @@ def candidate_repairs(
     """Results of all complete sequences, found on the subset graph
     without walking the (much larger) sequence tree."""
     space = _space(db, frozenset(sigma))
-    return {
-        space.database_of(mask)
-        for mask in space.reachable_masks(singleton_only, cap)
-        if space.consistent(mask)
-    }
+    dag = space.dag(singleton_only, cap)
+    return {space.database_of(dag.masks[i]) for i in dag.leaf_positions()}
 
 
-@_recursion_as_cap()
 def sequence_count(
     db: Database,
     sigma: Iterable[FunctionalDependency],
@@ -442,9 +450,10 @@ def sequence_count(
     cap: int = DEFAULT_TREE_CAP,
 ) -> int:
     """|CRS| (or the singleton variant) by dynamic programming on the
-    subset graph; exact for arbitrary FDs, without touching the tree."""
+    subset graph; exact for arbitrary FDs, without touching the tree.
+    Fails on more than cap + 1 residual states."""
     space = _space(db, frozenset(sigma))
-    return space.leaf_count(space.full_mask, singleton_only, cap)
+    return space.dag(singleton_only, cap + 1).leaves[-1]
 
 
 def _canonical_paths(
@@ -460,7 +469,6 @@ def _canonical_paths(
     return chosen
 
 
-@_recursion_as_cap()
 def canonical_sequences(
     db: Database,
     sigma: Iterable[FunctionalDependency],
@@ -472,7 +480,7 @@ def canonical_sequences(
     one reaching it in depth-first tree order ("dfs"), or the last
     ("reversed-dfs")."""
     space = _space(db, frozenset(sigma))
-    _ensure_tree_budget(space, singleton_only, cap)
+    space.dag(singleton_only, cap, tree_cap=cap)
     return {
         _sequence_of(space, path)
         for path in _canonical_paths(space, singleton_only, ordering).values()
@@ -563,7 +571,6 @@ class RepairingChain:
         }
 
 
-@_recursion_as_cap()
 def build_chain(
     db: Database,
     sigma: Iterable[FunctionalDependency],
@@ -581,7 +588,8 @@ def build_chain(
     sigma = frozenset(sigma)
     space = _space(db, sigma)
     singleton = kind.singleton_only
-    _ensure_tree_budget(space, singleton, cap)
+    dag = space.dag(singleton, cap, tree_cap=cap)
+    leaf_count = dict(zip(dag.masks, dag.leaves)) if kind.family == "us" else {}
 
     prefix_counts: dict[tuple[tuple[int, ...], ...], int] = {}
     if kind.family == "ur":
@@ -597,11 +605,8 @@ def build_chain(
         if kind.family == "uo":
             labels = [Fraction(1, len(ops))] * len(ops)
         elif kind.family == "us":
-            total = space.leaf_count(mask, singleton, cap)
-            labels = [
-                Fraction(space.leaf_count(mask & ~om, singleton, cap), total)
-                for _, om in ops
-            ]
+            total = leaf_count[mask]
+            labels = [Fraction(leaf_count[mask & ~om], total) for _, om in ops]
         else:
             here = prefix_counts.get(prefix, 0)
             if here == 0:
@@ -618,10 +623,6 @@ def build_chain(
         return ChainNode(space.database_of(mask), edges)
 
     return RepairingChain(db, sigma, kind, build(space.full_mask, ()))
-
-
-def leaf_distribution(chain: RepairingChain) -> dict[RepairingSequence, Fraction]:
-    return chain.leaf_distribution()
 
 
 # ---------------------------------------------------------------------------
@@ -661,43 +662,27 @@ def _mask_distribution(
 ) -> dict[int, Fraction]:
     """Exact probability of each candidate repair, keyed by its mask.
 
-    Uniform-repairs is uniform over the candidate repairs and
-    uniform-sequences weights each repair by its number of complete
-    sequences, so both reduce to counting on the subset graph; the
-    uniform-operations walk is propagated forward across it.
+    Uniform-repairs is uniform over the DAG's leaves. Uniform-sequences
+    and uniform-operations push weight forward from the full database:
+    each edge passes on its parent's weight (a count of paths) or an
+    equal share of it (the walk's probability).
     """
-    singleton = kind.singleton_only
-    masks = space.reachable_masks(singleton, cap)
-
+    dag = space.dag(kind.singleton_only, cap)
+    leaves = dag.leaf_positions()
     if kind.family == "ur":
-        repairs = [m for m in masks if space.consistent(m)]
-        share = Fraction(1, len(repairs))
-        return {m: share for m in repairs}
-
-    if kind.family == "us":
-        paths: dict[int, int] = {space.full_mask: 1}
-        for mask in masks:
-            weight = paths.get(mask, 0)
-            if not weight or space.consistent(mask):
-                continue
-            for _, om in space.ops(mask, singleton):
-                child = mask & ~om
-                paths[child] = paths.get(child, 0) + weight
-        leaves = {m: paths[m] for m in masks if space.consistent(m) and paths.get(m)}
-        total = sum(leaves.values())
-        return {m: Fraction(w, total) for m, w in leaves.items()}
-
-    mass: dict[int, Fraction] = {space.full_mask: Fraction(1)}
-    for mask in masks:
-        weight = mass.get(mask)
-        if weight is None or space.consistent(mask):
-            continue
-        ops = space.ops(mask, singleton)
-        share = weight / len(ops)
-        for _, om in ops:
-            child = mask & ~om
-            mass[child] = mass.get(child, Fraction(0)) + share
-    return {m: mass[m] for m in masks if space.consistent(m) and mass.get(m)}
+        share = Fraction(1, len(leaves))
+        return {dag.masks[i]: share for i in leaves}
+    us = kind.family == "us"
+    weight: list = [0] * len(dag.masks)
+    weight[dag.root] = 1 if us else Fraction(1)
+    for i in reversed(range(len(dag.masks))):
+        children = dag.children(i)
+        if children:
+            w = weight[i] if us else weight[i] / len(children)
+            for c in children:
+                weight[c] += w
+    total = dag.leaves[dag.root] if us else 1
+    return {dag.masks[i]: Fraction(weight[i], total) for i in leaves}
 
 
 def repair_distribution(

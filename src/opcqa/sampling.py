@@ -103,15 +103,10 @@ class RandomSource:
 @dataclass(frozen=True)
 class SampleOutcome:
     """One draw: the repair, plus the sequence for sequence-valued
-    samplers. All samplers are direct, hence the constant weight."""
+    samplers. All samplers are direct, so draws carry no weight."""
 
     repair: Database
     sequence: RepairingSequence | None = None
-    weight: int = 1
-
-    def __post_init__(self) -> None:
-        if self.weight != 1:
-            raise ValueError("samplers are unweighted")
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +231,16 @@ def sample_sequence_uo(
     return RepairingSequence(tuple(space.operation_of(idx) for idx in path))
 
 
+def _require_sampler(
+    db: Database, sigma: frozenset[FunctionalDependency], kind: GeneratorKind
+) -> None:
+    """Raise unless the generator kind has a sampler for these FDs."""
+    if kind.family in ("ur", "us") and not is_primary_keys(sigma, db.schema):
+        raise UnsupportedCombinationError(
+            f"no {kind.label} sampler beyond primary keys; uo/uo1 work for any FDs"
+        )
+
+
 def sample_outcome(
     db: Database,
     sigma: Iterable[FunctionalDependency],
@@ -244,10 +249,7 @@ def sample_outcome(
 ) -> SampleOutcome:
     """Draw once from the sampler matching the generator kind."""
     sigma = frozenset(sigma)
-    if kind.family in ("ur", "us") and not is_primary_keys(sigma, db.schema):
-        raise UnsupportedCombinationError(
-            f"no {kind.label} sampler beyond primary keys; uo/uo1 work for any FDs"
-        )
+    _require_sampler(db, sigma, kind)
     if kind.family == "ur":
         return SampleOutcome(sample_repair_uniform(db, sigma, rng, kind.singleton_only))
     if kind.family == "us":

@@ -227,6 +227,26 @@ def test_count_on_deep_instance_exits_with_size_cap(files, capsys):
     assert err.startswith("error:")
 
 
+def test_exact_work_on_a_100_block_ladder_exits_with_size_cap(files, capsys):
+    # sequences of 100 to 200 operations: too short to exhaust the
+    # stack, yet the residuals are far more than the cap
+    doc = {
+        "schema": {"R": ["K", "V"]},
+        "facts": [["R", f"k{j}", f"v{i}"] for j in range(100) for i in range(3)],
+        "fds": [{"relation": "R", "lhs": ["K"], "rhs": ["V"]}],
+    }
+    inst = files("ladder.json", doc)
+    query = files("q.json", BOOLEAN_QUERY_DOC)
+    for argv in (
+        ("count", inst, "--what", "canonical"),
+        ("exact", inst, query, "--generator", "uo"),
+    ):
+        code, records, err = run(capsys, *argv)
+        assert code == 3, argv
+        assert records == []
+        assert err.startswith("error:")
+
+
 # ---------------------------------------------------------------------------
 # approx
 # ---------------------------------------------------------------------------

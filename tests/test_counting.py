@@ -17,7 +17,6 @@ from opcqa import (
     count_complete_sequences,
     count_complete_sequences_singleton,
     fact,
-    residual_sequence_count,
     sequence_count_for_profile,
 )
 
@@ -110,14 +109,6 @@ def test_counts_require_primary_keys():
         count_candidate_repairs(db, sigma)
     with pytest.raises(ConstraintClassError):
         count_complete_sequences(db, sigma)
-
-
-def test_residual_count_matches_direct_formula():
-    db, sigma = keyed_instance()
-    assert residual_sequence_count(db, sigma) == 99
-    assert residual_sequence_count(db, sigma, singleton_only=True) == 36
-    smaller = db.restrict([f for f in db.facts if f.values[0] != "a3"])
-    assert residual_sequence_count(smaller, sigma) == sequence_count_for_profile([3, 1])
 
 
 def test_random_instances_match_enumeration():

@@ -43,6 +43,8 @@ from fixtures import (
     F1,
     F2,
     F3,
+    KEYED_FDS,
+    PAIR_SCHEMA,
     keyed_boolean_query,
     keyed_instance,
     keyed_query,
@@ -217,6 +219,18 @@ def test_enumeration_cap():
         enumerate_sequences(db, sigma, cap=50)
     with pytest.raises(SizeCapError):
         sequence_count(db, sigma, cap=10)
+
+
+def test_ladder_over_the_cap_fails_before_walking():
+    """100 blocks of three facts: sequences of 100 to 200 operations and
+    far more than DEFAULT_TREE_CAP residuals, found from 100 disjoint
+    conflicting pairs before any walk starts."""
+    rows = [(f"k{j}", f"v{i}") for j in range(100) for i in range(3)]
+    db = Database.of(PAIR_SCHEMA, [fact("R", *row) for row in rows])
+    for count in (sequence_count, candidate_repairs, enumerate_sequences):
+        for singleton_only in (False, True):
+            with pytest.raises(SizeCapError):
+                count(db, KEYED_FDS, singleton_only=singleton_only)
 
 
 # ---------------------------------------------------------------------------

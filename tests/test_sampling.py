@@ -11,7 +11,6 @@ from opcqa import (
     UR1,
     US,
     RandomSource,
-    SampleOutcome,
     UnsupportedCombinationError,
     repair_distribution,
     sample_outcome,
@@ -76,12 +75,6 @@ def test_randbelow_beyond_word_size():
     draws = [r.randbelow(n) for _ in range(40)]
     assert all(0 <= d < n for d in draws)
     assert max(draws) > 2**64  # astronomically unlikely to fail
-
-
-def test_sample_outcome_weight_fixed():
-    db, _ = keyed_instance()
-    with pytest.raises(ValueError):
-        SampleOutcome(db, None, weight=2)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +162,7 @@ def test_sample_outcome_routing():
     db, sigma = keyed_instance()
     rng = RandomSource(1)
     out = sample_outcome(db, sigma, UR, rng)
-    assert out.sequence is None and out.weight == 1
+    assert out.sequence is None
     out = sample_outcome(db, sigma, US, rng)
     assert out.sequence is not None
     assert out.sequence.result(db).facts == out.repair.facts
