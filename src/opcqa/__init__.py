@@ -72,7 +72,6 @@ from .relational import (
     ViolationSet,
     blocks,
     conflict_graph,
-    count_independent_sets,
     fact,
     is_keys,
     is_nontrivially_connected,

@@ -12,11 +12,11 @@ Every estimate is a pure function of (instance, query, config, master
 seed): trial t consumes RandomSource stream (seed, base + t) and nothing
 else, so thread counts and batch sizes cannot change the result.
 
-Hot loops run on a numpy fast path when the instance shape allows
-(uniform-operations walks over at most 16 conflict-involved facts, or
-uniform-repair draws under primary keys). The fast paths replicate the
-scalar RNG bit for bit; tests assert equality against the pure-Python
-sampler.
+Hot loops run on a numpy fast path when the instance shape allows:
+uniform-operations walks whose conflict components have at most 16 facts
+each (and whose 2^facts add up to at most 2^16), or uniform-repair draws
+under primary keys. The fast paths replicate the scalar RNG bit for bit; tests
+assert equality against the pure-Python sampler.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 from .errors import SizeCapError, UnsupportedCombinationError
 from .queries import ConjunctiveQuery, mask_entails, witness_masks, witnesses
 from .relational import Database, FunctionalDependency, is_keys, is_primary_keys
-from .repairs import DEFAULT_TREE_CAP, GeneratorKind, _space
+from .repairs import GeneratorKind, _space
 from .sampling import (
     GOLDEN,
     STREAM,
@@ -225,7 +225,8 @@ def adaptive_success_quota(epsilon: Fraction, delta: Fraction) -> int:
 # keeps one of the answer's witnesses.
 
 _CHUNK = 1 << 16
-_VECTOR_MASK_LIMIT = 16
+_VECTOR_MASK_LIMIT = 16  # facts per component; see _component_dags
+_LANE_CELLS = 1 << 21  # lanes times runs walked at once by the vector walk
 
 
 def _mix64_array(x: np.ndarray) -> np.ndarray:
@@ -261,55 +262,140 @@ class _ScalarStream:
 
 
 class _UoWalkStream:
-    """Vectorized uniform-operations walk over the subset DAG.
+    """Vectorized uniform-operations walk, one residual DAG per conflict
+    component.
 
-    States are positions in the mode's cached residual DAG; each lane
-    walks root to leaf drawing ops with the exact 64-bit rejection rule
-    of RandomSource.randbelow. Usable whenever at most 16 facts take
-    part in conflicts."""
+    The components' cached DAGs are numbered one after another, and each
+    lane holds one position per component. A step draws r below the
+    lane's operation count, summed over the components, with the exact
+    64-bit rejection rule of RandomSource.randbelow, and takes the r-th
+    operation in canonical order by the rule of sampling.sample_sequence_uo:
+    the run where the running count passes r, then that component's
+    operations of its earlier runs plus the offset. A lane's repair
+    answers when it keeps a witness: for some witness, every component
+    the witness touches ends on a residual that keeps its part. Built
+    from the DAGs of _component_dags; lanes walk in slices of at most
+    _LANE_CELLS lane-runs, so memory does not grow with the batch."""
 
-    def __init__(self, db, sigma, kind, q, answer):
-        space = _space(db, frozenset(sigma))
-        dag = space.dag(kind.singleton_only, DEFAULT_TREE_CAP)
-        witness = space.answer_masks(q, answer).get(answer, ())
-        starts = np.asarray(dag.starts, dtype=np.int64)
-        self._root = dag.root
-        self._counts = np.diff(starts)
-        self._offsets = starts[:-1]
-        self._children = np.asarray(dag.kids, dtype=np.int64)
-        self._indicator = np.zeros(len(dag.masks), dtype=np.uint8)
-        for i in dag.leaf_positions():
-            self._indicator[i] = mask_entails(witness, dag.masks[i])
-        max_ops = int(self._counts.max(initial=0))
+    def __init__(self, space, dags, q, answer):
+        comps, runs = space.components()
+        width = max((len(comp.runs) for comp in comps), default=1)
+        sizes = [len(dag.masks) for dag in dags]
+        base = np.cumsum([0] + sizes)  # position of each DAG's first residual
+        self._starts = np.empty(base[-1], dtype=np.int64)
+        self._kids = np.empty(sum(len(dag.kids) for dag in dags), dtype=np.int64)
+        self._per_run = np.zeros((base[-1], width), dtype=np.int64)
+        masks = []
+        edges = 0
+        for c, (comp, dag) in enumerate(zip(comps, dags)):
+            here = slice(base[c], base[c + 1])
+            dag_starts = np.asarray(dag.starts, dtype=np.int64)
+            kids = self._kids[edges : edges + len(dag.kids)]
+            kids[:] = dag.kids
+            masks.append(np.asarray(dag.masks, dtype=np.int64))
+            if len(comp.runs) == 1:
+                self._per_run[here, 0] = np.diff(dag_starts)
+            else:  # an operation lies in the run of its lowest fact
+                parent = np.repeat(np.arange(sizes[c]), np.diff(dag_starts))
+                om = masks[c][parent] & ~masks[c][kids]
+                first = np.frexp((om & -om).astype(np.float64))[1] - 1
+                run = np.asarray(comp.run_of, dtype=np.int64)[first]
+                np.add.at(self._per_run, (parent + base[c], run), 1)
+            kids += base[c]
+            self._starts[here] = dag_starts[:-1] + edges
+            edges += len(dag.kids)
+        self._before = np.cumsum(self._per_run, axis=1) - self._per_run
+        self._roots = base[:-1] + np.asarray([dag.root for dag in dags], dtype=np.int64)
+        self._run_comp = np.asarray([c for c, _ in runs], dtype=np.int64)
+        self._run_local = np.asarray([j for _, j in runs], dtype=np.int64)
+
+        # the root has every operation a lane can meet
+        max_ops = int(self._per_run[self._roots].sum())
         rems = [(1 << 64) % c if c else 0 for c in range(max_ops + 1)]
         self._limit = np.asarray(
             [((1 << 64) - r) & _M64 for r in rems], dtype=np.uint64
         )
         self._accept_all = np.asarray([r == 0 for r in rems], dtype=bool)
 
+        # per component, the residuals (over all numbered positions) that
+        # keep one witness part; a witness within one component folds
+        # into that component's table
+        where = {g: (c, 1 << i) for c, comp in enumerate(comps) for i, g in enumerate(comp.facts)}
+        keeps: dict[tuple[int, int], np.ndarray] = {}
+
+        def keep(c: int, part: int) -> np.ndarray:
+            if (c, part) not in keeps:
+                table = np.zeros(base[-1], dtype=bool)
+                table[base[c] : base[c + 1]] = masks[c] & part == part
+                keeps[c, part] = table
+            return keeps[c, part]
+
+        self._always = False
+        self._single: dict[int, np.ndarray] = {}
+        self._joint: list[list[tuple[int, np.ndarray]]] = []
+        for w in space.answer_masks(q, answer).get(answer, ()):
+            parts: dict[int, int] = {}
+            while w:
+                low = w & -w
+                c, b = where[low.bit_length() - 1]
+                parts[c] = parts.get(c, 0) | b
+                w ^= low
+            if not parts:
+                self._always = True
+            elif len(parts) == 1:
+                ((c, part),) = parts.items()
+                self._single[c] = self._single.get(c, False) | keep(c, part)
+            else:
+                self._joint.append([(c, keep(c, part)) for c, part in parts.items()])
+
     def batch(self, seed: int, base: int, count: int) -> np.ndarray:
+        if self._always:
+            return np.ones(count, dtype=np.uint8)
+        lanes = max(1, _LANE_CELLS // max(1, self._run_comp.size))
+        if count > lanes:
+            return np.concatenate(
+                [self.batch(seed, base + i, min(lanes, count - i)) for i in range(0, count, lanes)]
+            )
         bases = _stream_bases(seed, base, count)
-        ids = np.full(count, self._root, dtype=np.int64)
+        ids = np.repeat(self._roots[:, None], count, axis=1)
         drawn = np.zeros(count, dtype=np.uint64)
-        while True:
-            counts = self._counts[ids]
-            active = np.nonzero(counts > 0)[0]
-            if active.size == 0:
-                break
-            bounds = counts[active]
-            choice = np.empty(active.size, dtype=np.int64)
-            pending = np.arange(active.size)
+        live = np.arange(count) if self._run_comp.size else np.arange(0)
+        while live.size:
+            nodes = ids[self._run_comp[:, None], live]
+            cum = np.cumsum(self._per_run[nodes, self._run_local[:, None]], axis=0)
+            walking = cum[-1] > 0
+            if not walking.all():
+                live, nodes, cum = live[walking], nodes[:, walking], cum[:, walking]
+                if not live.size:
+                    break
+            bounds = cum[-1]
+            r = np.empty(live.size, dtype=np.int64)
+            pending = np.arange(live.size)
             while pending.size:
-                lanes = active[pending]
+                lanes = live[pending]
                 drawn[lanes] += np.uint64(1)
                 u = _mix64_array(bases[lanes] + drawn[lanes] * np.uint64(GOLDEN))
                 b = bounds[pending]
                 ok = self._accept_all[b] | (u < self._limit[b])
                 sel = (u % b.astype(np.uint64)).astype(np.int64)
-                choice[pending[ok]] = sel[ok]
+                r[pending[ok]] = sel[ok]
                 pending = pending[~ok]
-            ids[active] = self._children[self._offsets[ids[active]] + choice]
-        return self._indicator[ids]
+            run = (cum <= r).sum(axis=0)
+            lane = np.arange(live.size)
+            passed = np.where(run > 0, cum[np.maximum(run - 1, 0), lane], 0)
+            comp = self._run_comp[run]
+            node = nodes[run, lane]
+            k = self._before[node, self._run_local[run]] + r - passed
+            ids[comp, live] = self._kids[self._starts[node] + k]
+        out = np.zeros(count, dtype=bool)
+        for c, table in self._single.items():
+            out |= table[ids[c]]
+        for parts in self._joint:
+            hit = np.ones(count, dtype=bool)
+            for c, table in parts:
+                hit &= table[ids[c]]
+            out |= hit
+        return out.astype(np.uint8)
 
 
 class _UrBlockStream:
@@ -374,12 +460,27 @@ class _UrBlockStream:
         return table[inverse]
 
 
+def _component_dags(space, singleton_only: bool):
+    """The residual DAG of each conflict component, or None unless the
+    components' 2^facts add up to at most 2^16. Each component then has
+    at most 16 facts, and the DAGs together no more residuals than one
+    instance of 16 facts can have."""
+    comps, _ = space.components()
+    limit = 1 << _VECTOR_MASK_LIMIT
+    if sum(1 << comp.n for comp in comps) > limit:
+        return None
+    return [comp.dag(singleton_only, limit) for comp in comps]
+
+
 def _indicator_stream(db, sigma, kind, q, answer):
     sigma = frozenset(sigma)
     answer = tuple(answer)
     _require_sampler(db, sigma, kind)
-    if kind.family == "uo" and _space(db, sigma).n <= _VECTOR_MASK_LIMIT:
-        return _UoWalkStream(db, sigma, kind, q, answer)
+    if kind.family == "uo":
+        space = _space(db, sigma)
+        dags = _component_dags(space, kind.singleton_only)
+        if dags is not None:
+            return _UoWalkStream(space, dags, q, answer)
     if kind.family == "ur":
         try:
             return _UrBlockStream(db, sigma, kind, q, answer)

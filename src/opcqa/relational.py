@@ -14,7 +14,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .errors import ConstraintClassError, SchemaError, SizeCapError
+from .errors import ConstraintClassError, SchemaError
 
 __all__ = [
     "Schema",
@@ -28,12 +28,8 @@ __all__ = [
     "violations",
     "conflict_graph",
     "blocks",
-    "count_independent_sets",
     "is_nontrivially_connected",
 ]
-
-DEFAULT_IS_CAP = 24
-
 
 @dataclass(frozen=True)
 class Schema:
@@ -359,36 +355,6 @@ def blocks(db: Database, sigma: Iterable[FunctionalDependency]) -> list[Block]:
         for key_values in sorted(groups):
             out.append(Block(relation, key_values, frozenset(groups[key_values])))
     return out
-
-
-def count_independent_sets(
-    g: ConflictGraph, nonempty_only: bool = False, cap: int = DEFAULT_IS_CAP
-) -> int:
-    """Brute-force independent-set count, including the empty set unless
-    nonempty_only. An oracle, not a performance path, hence the hard cap.
-    """
-    n = len(g.nodes)
-    if n > cap:
-        raise SizeCapError(f"independent-set counting capped at {cap} nodes, got {n}")
-    index = {node: i for i, node in enumerate(g.nodes)}
-    masks = []
-    for node in g.nodes:
-        m = 0
-        for nbr in g.neighbors(node):
-            m |= 1 << index[nbr]
-        masks.append(m)
-    count = 0
-    for subset in range(1 << n):
-        ok = True
-        for i in range(n):
-            if subset >> i & 1 and masks[i] & subset:
-                ok = False
-                break
-        if ok:
-            count += 1
-    if nonempty_only:
-        count -= 1
-    return count
 
 
 def is_nontrivially_connected(g: ConflictGraph) -> bool:

@@ -229,33 +229,15 @@ def _check_caps(states: int, nodes: int, cap: int, tree_cap: int | None) -> None
         raise SizeCapError(f"repairing tree has over {tree_cap} nodes")
 
 
-class _Space:
-    """Bitmask view of the facts involved in at least one conflict.
+class _Conflicts:
+    """Facts 0..n-1 and their conflicting pairs as bitmasks: the justified
+    operations of a residual, and the residual DAG of each mode."""
 
-    Facts outside every violating pair can never be deleted, so they are
-    split off once and re-attached when a residual is reified. Masks have
-    bit i set when the i-th conflict fact (in canonical order) is present.
-    """
-
-    def __init__(self, db: Database, sigma: frozenset[FunctionalDependency]):
-        self.db = db
-        self.sigma = sigma
-        pairs = violations(db, sigma).pairs
-        involved = sorted({f for pair in pairs for f in pair})
-        self.facts: tuple[Fact, ...] = tuple(involved)
-        self.n = len(self.facts)
-        self.full_mask = (1 << self.n) - 1
-        index = {f: i for i, f in enumerate(self.facts)}
-        self.bit: dict[Fact, int] = {f: 1 << i for f, i in index.items()}
-        self.edges: tuple[tuple[int, int], ...] = tuple(
-            sorted(tuple(sorted(index[f] for f in pair)) for pair in pairs)
-        )
-        self.edge_masks: tuple[int, ...] = tuple(
-            (1 << i) | (1 << j) for i, j in self.edges
-        )
-        self.untouched: frozenset[Fact] = db.facts - frozenset(involved)
-        # memo of the step-by-step walks (samplers, tree enumeration)
-        self._ops_memo: dict[tuple[int, bool], tuple[tuple[tuple[int, ...], int], ...]] = {}
+    def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
+        self.n = n
+        self.full_mask = (1 << n) - 1
+        self.edges = edges
+        self.edge_masks: tuple[int, ...] = tuple((1 << i) | (1 << j) for i, j in edges)
         # the residual DAG of each mode, indexed by singleton_only
         self._dags: list[_Dag | None] = [None, None]
         # A greedy matching of mu conflicting pairs gives at least 3^mu
@@ -271,6 +253,8 @@ class _Space:
     def _justified(
         self, mask: int, singleton_only: bool
     ) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Justified operations of a residual, as (index tuple, op mask)
+        pairs in canonical order."""
         found: dict[tuple[int, ...], int] = {}
         for (i, j), em in zip(self.edges, self.edge_masks):
             if em & mask == em:
@@ -279,15 +263,6 @@ class _Space:
                 if not singleton_only:
                     found[(i, j)] = em
         return tuple(sorted(found.items()))
-
-    def ops(self, mask: int, singleton_only: bool) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """Justified operations of a residual, as (index tuple, op mask)
-        pairs in canonical order; memoised for the step-by-step walks."""
-        key = (mask, singleton_only)
-        hit = self._ops_memo.get(key)
-        if hit is None:
-            hit = self._ops_memo[key] = self._justified(mask, singleton_only)
-        return hit
 
     def dag(self, singleton_only: bool, cap: int, tree_cap: int | None = None) -> _Dag:
         """The residual DAG of a mode, built once and cached.
@@ -337,6 +312,149 @@ class _Space:
                 # the whole tree contains this residual's subtree
                 _check_caps(len(masks), nodes[-1], cap, tree_cap)
         return _Dag(masks, starts, kids, leaves, nodes)
+
+
+# A component of at most this many facts keeps the operations of every
+# local residual a walk visits: at most 2^16 masks per mode.
+_OPS_TABLE_LIMIT = 16
+
+
+class _Component(_Conflicts):
+    """One connected component of a _Space's conflict graph.
+
+    Local bit i stands for the component's i-th fact in canonical order,
+    facts[i] is its index in the _Space. A run is a maximal stretch of
+    consecutive _Space facts that lie in one component. An operation sorts
+    by its first fact, so the instance's canonical operation order lists
+    run after run, and the operations of one run are a contiguous slice
+    of its component's own canonical list. runs holds the component's
+    global run numbers in order, run_of the local run of each local fact.
+    """
+
+    def __init__(
+        self,
+        facts: tuple[int, ...],
+        edges: tuple[tuple[int, int], ...],
+        run_of: tuple[int, ...],
+        runs: tuple[int, ...],
+    ):
+        super().__init__(len(facts), edges)
+        self.facts = facts
+        self.run_of = run_of
+        self.runs = runs
+        self._op: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {
+            (i,): (1 << i, (g,)) for i, g in enumerate(facts)
+        }
+        for (i, j), em in zip(edges, self.edge_masks):
+            self._op[(i, j)] = (em, (facts[i], facts[j]))
+        # filled only when n <= _OPS_TABLE_LIMIT
+        self._tables: tuple[dict, dict] = ({}, {})
+
+    def ops(
+        self, mask: int, singleton_only: bool
+    ) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], tuple[int, ...]]:
+        """Justified operations of a local residual in canonical order, as
+        (local op mask, _Space index tuple) pairs, and their count in each
+        of the component's runs. Kept in a table for small components,
+        recomputed from the component's own edges for larger ones."""
+        table = self._tables[singleton_only]
+        hit = table.get(mask)
+        if hit is None:
+            found = self._justified(mask, singleton_only)
+            ops = tuple(self._op[idx] for idx, _ in found)
+            if len(self.runs) == 1:
+                counts: tuple[int, ...] = (len(ops),)
+            else:
+                per_run = [0] * len(self.runs)
+                for idx, _ in found:
+                    per_run[self.run_of[idx[0]]] += 1
+                counts = tuple(per_run)
+            hit = (ops, counts)
+            if self.n <= _OPS_TABLE_LIMIT:
+                table[mask] = hit
+        return hit
+
+
+class _Space(_Conflicts):
+    """Bitmask view of the facts involved in at least one conflict.
+
+    Facts outside every violating pair can never be deleted, so they are
+    split off once and re-attached when a residual is reified. Masks have
+    bit i set when the i-th conflict fact (in canonical order) is present.
+    """
+
+    def __init__(self, db: Database, sigma: frozenset[FunctionalDependency]):
+        self.db = db
+        self.sigma = sigma
+        pairs = violations(db, sigma).pairs
+        involved = sorted({f for pair in pairs for f in pair})
+        self.facts: tuple[Fact, ...] = tuple(involved)
+        index = {f: i for i, f in enumerate(self.facts)}
+        self.bit: dict[Fact, int] = {f: 1 << i for f, i in index.items()}
+        super().__init__(
+            len(self.facts),
+            tuple(sorted(tuple(sorted(index[f] for f in pair)) for pair in pairs)),
+        )
+        self.untouched: frozenset[Fact] = db.facts - frozenset(involved)
+        self._split: tuple[tuple[_Component, ...], tuple[tuple[int, int], ...]] | None = None
+        self._starts: list[tuple | None] = [None, None]
+
+    def components(self) -> tuple[tuple[_Component, ...], tuple[tuple[int, int], ...]]:
+        """The connected components of the conflict graph, ordered by their
+        first fact, and for each run (see _Component) the component it lies
+        in and its local run number; computed on first use."""
+        if self._split is None:
+            parent = list(range(self.n))
+
+            def root(i: int) -> int:
+                while parent[i] != i:
+                    parent[i] = parent[parent[i]]
+                    i = parent[i]
+                return i
+
+            for i, j in self.edges:
+                parent[root(i)] = root(j)
+            number: dict[int, int] = {}
+            local = [0] * self.n
+            members: list[list[int]] = []
+            run_of: list[list[int]] = []
+            comp_runs: list[list[int]] = []
+            runs: list[tuple[int, int]] = []
+            for i in range(self.n):
+                c = number.setdefault(root(i), len(members))
+                if c == len(members):
+                    members.append([])
+                    run_of.append([])
+                    comp_runs.append([])
+                if not runs or runs[-1][0] != c:
+                    runs.append((c, len(comp_runs[c])))
+                    comp_runs[c].append(len(runs) - 1)
+                local[i] = len(members[c])
+                members[c].append(i)
+                run_of[c].append(len(comp_runs[c]) - 1)
+            edges: list[list[tuple[int, int]]] = [[] for _ in members]
+            for i, j in self.edges:
+                edges[number[root(i)]].append((local[i], local[j]))
+            comps = tuple(
+                _Component(tuple(f), tuple(e), tuple(o), tuple(r))
+                for f, e, o, r in zip(members, edges, run_of, comp_runs)
+            )
+            self._split = (comps, tuple(runs))
+        return self._split
+
+    def walk_start(self, singleton_only: bool) -> tuple:
+        """Start of a step-by-step walk over the components: each one's
+        full local mask and operations (see _Component.ops), the count of
+        operations in each run, and their total; computed on first use."""
+        start = self._starts[singleton_only]
+        if start is None:
+            comps, runs = self.components()
+            current = [comp.ops(comp.full_mask, singleton_only) for comp in comps]
+            counts = [current[c][1][j] for c, j in runs]
+            start = self._starts[singleton_only] = (
+                [comp.full_mask for comp in comps], current, counts, sum(counts)
+            )
+        return start
 
     def mask_of(self, facts: Iterable[Fact]) -> int | None:
         """Mask of conflict facts, or None if one of them is in no conflict."""
@@ -394,20 +512,28 @@ def justified_ops(
     return sorted((Operation(fs) for fs in found), key=lambda op: op.sort_key)
 
 
-def _dfs_leaves(
-    space: _Space, singleton_only: bool
-) -> Iterator[tuple[tuple[tuple[int, ...], ...], int]]:
-    """Leaves in depth-first canonical order as (op index path, mask)."""
+def _op_indices(om: int) -> tuple[int, ...]:
+    """Index tuple of an operation mask of one or two bits."""
+    low = om & -om
+    rest = om ^ low
+    i = low.bit_length() - 1
+    return (i, rest.bit_length() - 1) if rest else (i,)
 
-    def walk(mask: int, prefix: tuple[tuple[int, ...], ...]):
-        ops = space.ops(mask, singleton_only)
-        if not ops:
-            yield prefix, mask
-            return
-        for idx, om in ops:
-            yield from walk(mask & ~om, prefix + (idx,))
 
-    yield from walk(space.full_mask, ())
+def _dfs_leaves(dag: _Dag) -> Iterator[tuple[tuple[tuple[int, ...], ...], int]]:
+    """Leaves of the sequence tree in depth-first canonical order, as (op
+    index path, mask), read off the residual DAG on an explicit stack."""
+    masks = dag.masks
+    stack = [(dag.root, ())]
+    while stack:
+        i, path = stack.pop()
+        kids = dag.children(i)
+        if not kids:
+            yield path, masks[i]
+            continue
+        mask = masks[i]
+        for c in reversed(kids):
+            stack.append((c, path + (_op_indices(mask & ~masks[c]),)))
 
 
 def _sequence_of(space: _Space, path: tuple[tuple[int, ...], ...]) -> RepairingSequence:
@@ -426,8 +552,8 @@ def enumerate_sequences(
     call fails before enumerating anything if it exceeds the cap.
     """
     space = _space(db, frozenset(sigma))
-    space.dag(singleton_only, cap, tree_cap=cap)
-    return [_sequence_of(space, path) for path, _ in _dfs_leaves(space, singleton_only)]
+    dag = space.dag(singleton_only, cap, tree_cap=cap)
+    return [_sequence_of(space, path) for path, _ in _dfs_leaves(dag)]
 
 
 def candidate_repairs(
@@ -456,14 +582,12 @@ def sequence_count(
     return space.dag(singleton_only, cap + 1).leaves[-1]
 
 
-def _canonical_paths(
-    space: _Space, singleton_only: bool, ordering: str
-) -> dict[int, tuple[tuple[int, ...], ...]]:
+def _canonical_paths(dag: _Dag, ordering: str) -> dict[int, tuple[tuple[int, ...], ...]]:
     """Per result mask, the preferred complete path under the ordering."""
     if ordering not in ("dfs", "reversed-dfs"):
         raise ValueError(f"unknown ordering {ordering!r}")
     chosen: dict[int, tuple[tuple[int, ...], ...]] = {}
-    for path, mask in _dfs_leaves(space, singleton_only):
+    for path, mask in _dfs_leaves(dag):
         if ordering == "reversed-dfs" or mask not in chosen:
             chosen[mask] = path
     return chosen
@@ -480,11 +604,8 @@ def canonical_sequences(
     one reaching it in depth-first tree order ("dfs"), or the last
     ("reversed-dfs")."""
     space = _space(db, frozenset(sigma))
-    space.dag(singleton_only, cap, tree_cap=cap)
-    return {
-        _sequence_of(space, path)
-        for path in _canonical_paths(space, singleton_only, ordering).values()
-    }
+    dag = space.dag(singleton_only, cap, tree_cap=cap)
+    return {_sequence_of(space, path) for path in _canonical_paths(dag, ordering).values()}
 
 
 # ---------------------------------------------------------------------------
@@ -521,15 +642,15 @@ class RepairingChain:
     def leaves(self) -> list[tuple[RepairingSequence, Fraction, Database]]:
         """(sequence, probability, repair) triples in depth-first order."""
         out: list[tuple[RepairingSequence, Fraction, Database]] = []
-
-        def walk(node: ChainNode, ops: tuple[Operation, ...], p: Fraction) -> None:
+        stack: list[tuple[ChainNode, tuple[Operation, ...], Fraction]] = [
+            (self.root, (), Fraction(1))
+        ]
+        while stack:
+            node, ops, p = stack.pop()
             if node.is_leaf:
                 out.append((RepairingSequence(ops), p, node.residual))
-                return
-            for edge in node.edges:
-                walk(edge.child, ops + (edge.op,), p * edge.probability)
-
-        walk(self.root, (), Fraction(1))
+            for edge in reversed(node.edges):
+                stack.append((edge.child, ops + (edge.op,), p * edge.probability))
         return out
 
     def leaf_distribution(self) -> dict[RepairingSequence, Fraction]:
@@ -543,31 +664,35 @@ class RepairingChain:
         return RepairDistribution(probs)
 
     def node_count(self) -> int:
-        def count(node: ChainNode) -> int:
-            return 1 + sum(count(e.child) for e in node.edges)
-
-        return count(self.root)
+        count = 0
+        stack = [self.root]
+        while stack:
+            count += 1
+            stack.extend(e.child for e in stack.pop().edges)
+        return count
 
     def to_json(self) -> dict:
-        def render(node: ChainNode, label: Fraction | None, p: Fraction) -> dict:
-            out: dict = {
-                "residual": [str(f) for f in node.residual.sorted_facts],
-            }
+        root: dict = {}
+        stack: list[tuple[ChainNode, Fraction | None, Fraction, dict]] = [
+            (self.root, None, Fraction(1), root)
+        ]
+        while stack:
+            node, label, p, out = stack.pop()
+            out["residual"] = [str(f) for f in node.residual.sorted_facts]
             if label is not None:
                 out["label"] = f"{label.numerator}/{label.denominator}"
             if node.is_leaf:
                 out["pi"] = f"{p.numerator}/{p.denominator}"
-            else:
-                out["children"] = [
-                    {"op": str(e.op), **render(e.child, e.probability, p * e.probability)}
-                    for e in node.edges
-                ]
-            return out
-
+                continue
+            children = out["children"] = []
+            for e in node.edges:
+                child = {"op": str(e.op)}
+                children.append(child)
+                stack.append((e.child, e.probability, p * e.probability, child))
         return {
             "generator": self.kind.label,
             "node_count": self.node_count(),
-            "root": render(self.root, None, Fraction(1)),
+            "root": root,
         }
 
 
@@ -587,42 +712,51 @@ def build_chain(
     """
     sigma = frozenset(sigma)
     space = _space(db, sigma)
-    singleton = kind.singleton_only
-    dag = space.dag(singleton, cap, tree_cap=cap)
-    leaf_count = dict(zip(dag.masks, dag.leaves)) if kind.family == "us" else {}
+    dag = space.dag(kind.singleton_only, cap, tree_cap=cap)
+    masks = dag.masks
 
     prefix_counts: dict[tuple[tuple[int, ...], ...], int] = {}
     if kind.family == "ur":
-        for path in _canonical_paths(space, singleton, ordering).values():
+        for path in _canonical_paths(dag, ordering).values():
             for stop in range(len(path) + 1):
                 prefix = path[:stop]
                 prefix_counts[prefix] = prefix_counts.get(prefix, 0) + 1
 
-    def build(mask: int, prefix: tuple[tuple[int, ...], ...]) -> ChainNode:
-        ops = space.ops(mask, singleton)
-        if not ops:
-            return ChainNode(space.database_of(mask), ())
-        if kind.family == "uo":
-            labels = [Fraction(1, len(ops))] * len(ops)
+    def frame(i: int, prefix: tuple[tuple[int, ...], ...]) -> tuple:
+        """A tree node at residual i: its children, their op index tuples
+        and labels, and the child nodes built so far."""
+        kids = dag.children(i)
+        idxs = [_op_indices(masks[i] & ~masks[c]) for c in kids]
+        here = prefix_counts.get(prefix, 0)
+        if not kids:
+            labels = []
         elif kind.family == "us":
-            total = leaf_count[mask]
-            labels = [Fraction(leaf_count[mask & ~om], total) for _, om in ops]
+            labels = [Fraction(dag.leaves[c], dag.leaves[i]) for c in kids]
+        elif here == 0:  # every uo node, and ur nodes off the canonical paths
+            labels = [Fraction(1, len(kids))] * len(kids)
         else:
-            here = prefix_counts.get(prefix, 0)
-            if here == 0:
-                labels = [Fraction(1, len(ops))] * len(ops)
-            else:
-                labels = [
-                    Fraction(prefix_counts.get(prefix + (idx,), 0), here)
-                    for idx, _ in ops
-                ]
-        edges = tuple(
-            ChainEdge(space.operation_of(idx), label, build(mask & ~om, prefix + (idx,)))
-            for (idx, om), label in zip(ops, labels)
-        )
-        return ChainNode(space.database_of(mask), edges)
+            labels = [Fraction(prefix_counts.get(prefix + (idx,), 0), here) for idx in idxs]
+        return i, prefix, kids, idxs, labels, []
 
-    return RepairingChain(db, sigma, kind, build(space.full_mask, ()))
+    # post-order on an explicit stack: a node is built once its children are
+    stack = [frame(dag.root, ())]
+    while True:
+        i, prefix, kids, idxs, labels, built = stack[-1]
+        if len(built) < len(kids):
+            k = len(built)
+            stack.append(frame(kids[k], prefix + (idxs[k],)))
+            continue
+        stack.pop()
+        node = ChainNode(
+            space.database_of(masks[i]),
+            tuple(
+                ChainEdge(space.operation_of(idx), label, child)
+                for idx, label, child in zip(idxs, labels, built)
+            ),
+        )
+        if not stack:
+            return RepairingChain(db, sigma, kind, node)
+        stack[-1][5].append(node)
 
 
 # ---------------------------------------------------------------------------

@@ -216,18 +216,37 @@ def sample_sequence_uo(
     """Random walk picking a justified operation uniformly at each step.
 
     Works for arbitrary FD sets; the leaf distribution is the
-    uniform-operations chain's by construction.
+    uniform-operations chain's by construction. The walk holds one local
+    residual per conflict component. A step draws r below the number of
+    operations of all components and takes the r-th in the instance's
+    canonical order: the run (see repairs._Component) where the running
+    count passes r, then that component's operations of its earlier runs
+    plus the offset. Only the component it touches changes.
     """
     space = _space(db, frozenset(sigma))
-    mask = space.full_mask
+    comps, runs = space.components()
+    masks, current, counts, total = space.walk_start(singleton_only)
+    masks, current, counts = masks[:], current[:], counts[:]
     path: list[tuple[int, ...]] = []
-    while True:
-        ops = space.ops(mask, singleton_only)
-        if not ops:
-            break
-        idx, om = ops[rng.randbelow(len(ops))]
+    while total:
+        r = rng.randbelow(total)
+        s = 0
+        while r >= counts[s]:
+            r -= counts[s]
+            s += 1
+        c, j = runs[s]
+        ops, per_run = current[c]
+        om, idx = ops[r + sum(per_run[:j]) if j else r]
         path.append(idx)
-        mask &= ~om
+        comp = comps[c]
+        masks[c] &= ~om
+        current[c] = after = comp.ops(masks[c], singleton_only)
+        total += len(after[0]) - len(ops)
+        if j or len(comp.runs) > 1:
+            for s, n in zip(comp.runs, after[1]):
+                counts[s] = n
+        else:
+            counts[s] = len(after[0])
     return RepairingSequence(tuple(space.operation_of(idx) for idx in path))
 
 

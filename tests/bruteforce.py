@@ -12,7 +12,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from opcqa import Database, Fact, FunctionalDependency, Schema, fact
+from opcqa import Database, Fact, FunctionalDependency, Schema, SizeCapError, fact
 
 # ---------------------------------------------------------------------------
 # Violations, sequences, repairs
@@ -169,6 +169,37 @@ def bf_independent_sets(nodes, edges) -> list[frozenset]:
             if all(not (e <= chosen) for e in edges):
                 out.append(frozenset(combo))
     return out
+
+
+DEFAULT_IS_CAP = 24
+
+
+def count_independent_sets(g, nonempty_only: bool = False, cap: int = DEFAULT_IS_CAP) -> int:
+    """Brute-force independent-set count of a conflict graph, including the
+    empty set unless nonempty_only. An oracle, not a performance path,
+    hence the hard cap."""
+    n = len(g.nodes)
+    if n > cap:
+        raise SizeCapError(f"independent-set counting capped at {cap} nodes, got {n}")
+    index = {node: i for i, node in enumerate(g.nodes)}
+    masks = []
+    for node in g.nodes:
+        m = 0
+        for nbr in g.neighbors(node):
+            m |= 1 << index[nbr]
+        masks.append(m)
+    count = 0
+    for subset in range(1 << n):
+        ok = True
+        for i in range(n):
+            if subset >> i & 1 and masks[i] & subset:
+                ok = False
+                break
+        if ok:
+            count += 1
+    if nonempty_only:
+        count -= 1
+    return count
 
 
 # ---------------------------------------------------------------------------

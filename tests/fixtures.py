@@ -87,3 +87,45 @@ def two_key_path_instance() -> tuple[Database, frozenset[FunctionalDependency]]:
         [fact("R", "a1", "b1"), fact("R", "a1", "b2"), fact("R", "a2", "b2")],
     )
     return db, TWO_KEY_FDS
+
+
+# ---------------------------------------------------------------------------
+# Multi-component shapes for the per-component walks.
+# ---------------------------------------------------------------------------
+
+LADDER_SCHEMA = Schema.of(R=("K", "V"))
+LADDER_KEY = frozenset([FunctionalDependency.of("R", ("K",), ("V",))])
+
+
+def ladder_instance(
+    blocks: int = 6, size: int = 3
+) -> tuple[Database, frozenset[FunctionalDependency]]:
+    """Primary-key blocks k0, k1, ... of equal size: one component each."""
+    facts = [fact("R", f"k{b}", f"v{i}") for b in range(blocks) for i in range(size)]
+    return Database.of(LADDER_SCHEMA, facts), LADDER_KEY
+
+
+def interleaved_instance() -> tuple[Database, frozenset[FunctionalDependency]]:
+    """R(A,B,C) under C -> B alone: four components, one per C value, of
+    five facts each, whose facts alternate in canonical (A-first) order."""
+    facts = [
+        fact("R", f"a{a}", f"b{(a + c) % 3}", f"c{c}") for a in range(5) for c in range(4)
+    ]
+    return Database.of(TRIPLE_SCHEMA, facts), frozenset(
+        [FunctionalDependency.of("R", ("C",), ("B",))]
+    )
+
+
+def one_component_instance() -> tuple[Database, frozenset[FunctionalDependency]]:
+    """Seven facts under the two FDs of the triple example, all in one
+    conflict component."""
+    rows = [
+        ("a0", "b0", "c0"),
+        ("a0", "b1", "c1"),
+        ("a1", "b1", "c0"),
+        ("a1", "b2", "c2"),
+        ("a2", "b2", "c1"),
+        ("a2", "b0", "c2"),
+        ("a3", "b0", "c1"),
+    ]
+    return Database.of(TRIPLE_SCHEMA, [fact("R", *r) for r in rows]), TRIPLE_FDS

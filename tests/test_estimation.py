@@ -32,9 +32,11 @@ from opcqa import (
 from opcqa.estimation import E_OVER, _indicator_stream, _ScalarStream
 
 from fixtures import (
+    interleaved_instance,
     keyed_boolean_query,
     keyed_instance,
     keyed_query,
+    ladder_instance,
     triple_instance,
 )
 
@@ -280,13 +282,32 @@ def test_estimate_probability_routes_by_mode():
 
 
 def test_vectorized_streams_match_scalar_reference():
-    from opcqa import Atom, ConjunctiveQuery, Constant
+    from opcqa import Atom, ConjunctiveQuery, Constant, Variable
 
     keyed_db, keyed_sigma = keyed_instance()
     wide_db, wide_sigma = triple_instance()
     wide_q = ConjunctiveQuery(
         atoms=(Atom("R", (Constant("a1"), Constant("b1"), Constant("c1"))),)
     )
+    # over 16 conflict facts in components of 3, and components whose
+    # facts interleave: a witness per component and one across two
+    ladder_db, ladder_sigma = ladder_instance()
+    ladder_q = ConjunctiveQuery(
+        (Atom("R", (Constant("k1"), Variable("x"))),), (Variable("x"),)
+    )
+    inter_db, inter_sigma = interleaved_instance()
+    inter_q = ConjunctiveQuery(
+        atoms=(
+            Atom("R", (Constant("a1"), Variable("y"), Variable("z"))),
+            Atom("R", (Constant("a2"), Variable("y"), Variable("w"))),
+        )
+    )
+    vectorized = [
+        (ladder_db, ladder_sigma, UO, ladder_q, ("v0",)),
+        (ladder_db, ladder_sigma, UO1, ladder_q, ("v2",)),
+        (inter_db, inter_sigma, UO, inter_q, ()),
+        (inter_db, inter_sigma, UO1, inter_q, ()),
+    ]
     cases = [
         (keyed_db, keyed_sigma, UR, keyed_query(), ("b1",)),
         (keyed_db, keyed_sigma, UR1, keyed_query(), ("b1",)),
@@ -294,15 +315,30 @@ def test_vectorized_streams_match_scalar_reference():
         (keyed_db, keyed_sigma, UO1, keyed_boolean_query(), ()),
         (wide_db, wide_sigma, UO, wide_q, ()),
         (wide_db, wide_sigma, UO1, wide_q, ()),
-    ]
+    ] + vectorized
     for db, sigma, kind, q, answer in cases:
         fast = _indicator_stream(db, frozenset(sigma), kind, q, answer)
         slow = _ScalarStream(db, frozenset(sigma), kind, q, answer)
+        if (db, kind) in [(case[0], case[2]) for case in vectorized]:
+            assert not isinstance(fast, _ScalarStream), kind.label
         if isinstance(fast, _ScalarStream):
             continue  # nothing vectorized for this shape
         got = fast.batch(97, 10, 400)
         want = slow.batch(97, 10, 400)
         assert np.array_equal(got, want), kind.label
+
+
+def test_vector_walk_slices_lanes_without_changing_draws(monkeypatch):
+    from opcqa import Atom, ConjunctiveQuery, Constant, Variable, estimation
+
+    db, sigma = ladder_instance()
+    q = ConjunctiveQuery((Atom("R", (Constant("k2"), Variable("x"))),), (Variable("x"),))
+    stream = _indicator_stream(db, frozenset(sigma), UO1, q, ("v1",))
+    whole = stream.batch(3, 5, 200)
+    monkeypatch.setattr(estimation, "_LANE_CELLS", 40)  # 6 runs: 6 lanes a slice
+    assert np.array_equal(stream.batch(3, 5, 200), whole)
+    want = _ScalarStream(db, frozenset(sigma), UO1, q, ("v1",)).batch(3, 5, 200)
+    assert np.array_equal(whole, want)
 
 
 def test_stream_indicators_match_entailment_per_draw():

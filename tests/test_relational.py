@@ -17,7 +17,6 @@ from opcqa import (
     SizeCapError,
     blocks,
     conflict_graph,
-    count_independent_sets,
     fact,
     is_keys,
     is_nontrivially_connected,
@@ -30,6 +29,7 @@ from bruteforce import (
     WIDE_FDS,
     bf_independent_sets,
     bf_violating_pairs,
+    count_independent_sets,
     random_fd_instance,
 )
 from fixtures import F1, F2, F3, keyed_instance, triple_instance

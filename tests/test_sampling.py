@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from opcqa import (
@@ -19,9 +21,16 @@ from opcqa import (
     sample_sequence_uo,
 )
 
+from opcqa.repairs import _space
 from opcqa.sampling import mix64
 
-from fixtures import keyed_instance, triple_instance
+from fixtures import (
+    interleaved_instance,
+    keyed_instance,
+    ladder_instance,
+    one_component_instance,
+    triple_instance,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +160,94 @@ def test_uo_walk_matches_distribution_on_general_fds():
             seq.validate(db, sigma)
             counts[seq.result(db).facts] = counts.get(seq.result(db).facts, 0) + 1
         assert _tv_distance(counts, exact, n) < 0.02
+
+
+# Draws of the whole-instance walk that kept one residual mask over all
+# conflict facts, per (instance, generator) for RandomSource(0..4). Each
+# sequence lists its operations, a removed fact by its position in the
+# sorted facts and a pair as "i-j".
+UO_WALK_PINS = {
+    ("ladder", "uo"): [
+        "3-4 0 9-10 6-7 13-14 15 17 2",
+        "9 16 3-4 10 17 0 12 7 13-14 1 6",
+        "3 15-16 7 0-2 9 4 10-11 13-14 6-8",
+        "6-8 11 15-16 13 3 10 4 2 0 14",
+        "3-5 13 15-17 1 9-10 6-8 12-14 0-2",
+    ],
+    ("ladder", "uo1"): [
+        "7 13 17 4 11 3 2 0 10 12 8 15",
+        "0 12 8 11 17 1 7 9 5 3 15 14",
+        "6 0 5 8 4 2 13 9 15 12 11 16",
+        "14 17 4 0 15 13 8 7 5 11 10 1",
+        "8 13 5 11 16 17 10 4 7 14 2 1",
+    ],
+    ("inter", "uo"): [
+        "10-12 11-13 7 3-16 17 4 9 8 18 6 0-5 2-19",
+        "2-8 6-11 3-4 12-17 19 9-15 1-18 5 0-10 7",
+        "7-8 5 9-15 3-4 17 12 0-10 18 14 1-11 6-13 19",
+        "11-13 1-6 0-5 4-15 7-14 10-12 8 9 2 16",
+        "3 7 6 2-19 1-18 4-9 8-14 5-10 13 12 17 15",
+    ],
+    ("inter", "uo1"): [
+        "15 17 1 3 13 0 4 12 19 11 5 14 9 2 8",
+        "10 2 8 17 14 0 1 11 6 15 16 3 4 18 12",
+        "14 17 12 18 8 0 10 6 2 15 3 9 13 1",
+        "18 10 4 7 17 14 13 5 1 6 3 9 2 19 15",
+        "12 17 5 3 10 8 16 18 11 7 13 14 2 9 6 4",
+    ],
+    ("one", "uo"): [
+        "4 0 1-5 2-3",
+        "0 2 5 1 4",
+        "3-4 0-1 5",
+        "3 1-6 4-5 0",
+        "0-2 1-5 4",
+    ],
+    ("one", "uo1"): [
+        "2 0 6 1 4",
+        "3 4 2 0 6 1",
+        "0 2 1 5 3",
+        "6 5 4 2 0",
+        "1 4 5 0 2",
+    ],
+}
+UO_WALK_INSTANCES = {
+    "ladder": ladder_instance,
+    "inter": interleaved_instance,
+    "one": one_component_instance,
+}
+
+
+def test_uo_walk_draws_are_pinned():
+    for (name, label), want in UO_WALK_PINS.items():
+        db, sigma = UO_WALK_INSTANCES[name]()
+        order = {f: i for i, f in enumerate(sorted(db.facts))}
+        got = [
+            " ".join(
+                "-".join(str(order[f]) for f in sorted(op.removed))
+                for op in sample_sequence_uo(db, sigma, RandomSource(seed), label == "uo1")
+            )
+            for seed in range(5)
+        ]
+        assert got == want, (name, label)
+    # the shapes the pins stand for
+    comps, runs = _space(*ladder_instance()).components()
+    assert len(comps) == 6 and sum(c.n for c in comps) > 16
+    comps, runs = _space(*interleaved_instance()).components()
+    assert len(comps) == 4 and len(runs) > len(comps)  # components interleave
+    comps, _ = _space(*one_component_instance()).components()
+    assert [c.n for c in comps] == [7]
+
+
+def test_uo_walk_memory_stays_bounded_on_a_25_block_ladder():
+    db, sigma = ladder_instance(25, 3)
+    tracemalloc.start()
+    try:
+        for seed in range(1000):
+            sample_sequence_uo(db, sigma, RandomSource(seed))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * 2**20
 
 
 # ---------------------------------------------------------------------------
