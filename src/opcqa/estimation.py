@@ -305,6 +305,7 @@ class _UoWalkStream:
             self._starts[here] = dag_starts[:-1] + edges
             edges += len(dag.kids)
         self._before = np.cumsum(self._per_run, axis=1) - self._per_run
+        self._first = base[:-1, None]
         self._roots = base[:-1] + np.asarray([dag.root for dag in dags], dtype=np.int64)
         self._run_comp = np.asarray([c for c, _ in runs], dtype=np.int64)
         self._run_local = np.asarray([j for _, j in runs], dtype=np.int64)
@@ -317,17 +318,14 @@ class _UoWalkStream:
         )
         self._accept_all = np.asarray([r == 0 for r in rems], dtype=bool)
 
-        # per component, the residuals (over all numbered positions) that
-        # keep one witness part; a witness within one component folds
-        # into that component's table
+        # per component, which of its residuals keep one witness part; a
+        # witness within one component folds into that component's table
         where = {g: (c, 1 << i) for c, comp in enumerate(comps) for i, g in enumerate(comp.facts)}
         keeps: dict[tuple[int, int], np.ndarray] = {}
 
         def keep(c: int, part: int) -> np.ndarray:
             if (c, part) not in keeps:
-                table = np.zeros(base[-1], dtype=bool)
-                table[base[c] : base[c + 1]] = masks[c] & part == part
-                keeps[c, part] = table
+                keeps[c, part] = masks[c] & part == part
             return keeps[c, part]
 
         self._always = False
@@ -387,13 +385,14 @@ class _UoWalkStream:
             node = nodes[run, lane]
             k = self._before[node, self._run_local[run]] + r - passed
             ids[comp, live] = self._kids[self._starts[node] + k]
+        local = ids - self._first  # positions within each component's DAG
         out = np.zeros(count, dtype=bool)
         for c, table in self._single.items():
-            out |= table[ids[c]]
+            out |= table[local[c]]
         for parts in self._joint:
             hit = np.ones(count, dtype=bool)
             for c, table in parts:
-                hit &= table[ids[c]]
+                hit &= table[local[c]]
             out |= hit
         return out.astype(np.uint8)
 

@@ -31,6 +31,7 @@ __all__ = [
     "is_nontrivially_connected",
 ]
 
+
 @dataclass(frozen=True)
 class Schema:
     """Relation names with their ordered attribute lists.

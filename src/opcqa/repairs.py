@@ -398,6 +398,7 @@ class _Space(_Conflicts):
         self.untouched: frozenset[Fact] = db.facts - frozenset(involved)
         self._split: tuple[tuple[_Component, ...], tuple[tuple[int, int], ...]] | None = None
         self._starts: list[tuple | None] = [None, None]
+        self._operations: dict[tuple[int, ...], Operation] = {}
 
     def components(self) -> tuple[tuple[_Component, ...], tuple[tuple[int, int], ...]]:
         """The connected components of the conflict graph, ordered by their
@@ -482,7 +483,12 @@ class _Space(_Conflicts):
         return self.db.restrict(kept | self.untouched)
 
     def operation_of(self, idx: tuple[int, ...]) -> Operation:
-        return Operation(frozenset(self.facts[i] for i in idx))
+        """The operation removing the indexed facts, made once per index
+        tuple: at most one per conflict fact and one per conflicting pair."""
+        op = self._operations.get(idx)
+        if op is None:
+            op = self._operations[idx] = Operation(frozenset(self.facts[i] for i in idx))
+        return op
 
 
 @lru_cache(maxsize=256)

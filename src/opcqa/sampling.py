@@ -242,11 +242,11 @@ def sample_sequence_uo(
         masks[c] &= ~om
         current[c] = after = comp.ops(masks[c], singleton_only)
         total += len(after[0]) - len(ops)
-        if j or len(comp.runs) > 1:
+        if len(comp.runs) == 1:
+            counts[s] = len(after[0])
+        else:
             for s, n in zip(comp.runs, after[1]):
                 counts[s] = n
-        else:
-            counts[s] = len(after[0])
     return RepairingSequence(tuple(space.operation_of(idx) for idx in path))
 
 
