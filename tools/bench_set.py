@@ -8,9 +8,11 @@ For every workload and seed, each side runs
 own checkout, under a timeout; which side goes first alternates from one
 seed to the next. Every run is kept with its wall time, exit status and
 result line. An existing output file is extended, not replaced, so sets
-run at different times add up. The summary gives, per workload, side and
-end-to-end metric, the median and quartiles over the correct runs, and
-how many pairs the second side won (ties count for neither side).
+run at different times add up. The summary gives, per workload and side,
+the wall time of the runs, how many were not correct or had a failed
+request, and for each end-to-end metric the median and quartiles over the
+other runs; and how many pairs the second side won (ties count for
+neither side).
 
 Uses the standard library only.
 """
@@ -92,7 +94,13 @@ def summarise(runs: list[dict], sides: list[str]) -> dict:
         mine = [r for r in runs if r["workload"] == workload]
         block: dict = {"runs": {s: sum(r["side"] == s for r in mine) for s in sides}}
         for side in sides:
-            block[side] = {}
+            walls = [r["wall_s"] for r in mine if r["side"] == side]
+            block[side] = {
+                "wall_s": {**quartiles(walls), "max": max(walls)} if walls else {},
+                "runs_not_correct": sum(
+                    r["side"] == side and value(r, "requests_per_s") is None for r in mine
+                ),
+            }
             for metric in METRICS:
                 values = [v for r in mine if r["side"] == side
                           if (v := value(r, metric)) is not None]
