@@ -13,10 +13,12 @@ seed): trial t consumes RandomSource stream (seed, base + t) and nothing
 else, so thread counts and batch sizes cannot change the result.
 
 Hot loops run on a numpy fast path when the instance shape allows:
-uniform-operations walks whose conflict components have at most 16 facts
-each (and whose 2^facts add up to at most 2^16), or uniform-repair draws
-under primary keys. The fast paths replicate the scalar RNG bit for bit; tests
-assert equality against the pure-Python sampler.
+uniform-operations walks, one residual DAG per conflict component, on
+instances of at most 16 conflict facts or whose components have at most
+10 facts each (and whose 2^facts add up to at most 2^16), or
+uniform-repair draws under primary keys. The fast paths replicate the
+scalar RNG bit for bit; tests assert equality against the pure-Python
+sampler.
 """
 
 from __future__ import annotations
@@ -225,7 +227,8 @@ def adaptive_success_quota(epsilon: Fraction, delta: Fraction) -> int:
 # keeps one of the answer's witnesses.
 
 _CHUNK = 1 << 16
-_VECTOR_MASK_LIMIT = 16  # facts per component; see _component_dags
+_VECTOR_MASK_LIMIT = 16  # conflict facts; see _component_dags
+_VECTOR_COMPONENT_LIMIT = 10  # facts per component beyond that
 _LANE_CELLS = 1 << 21  # lanes times runs walked at once by the vector walk
 
 
@@ -269,49 +272,49 @@ class _UoWalkStream:
     lane holds one position per component. A step draws r below the
     lane's operation count, summed over the components, with the exact
     64-bit rejection rule of RandomSource.randbelow, and takes the r-th
-    operation in canonical order by the rule of sampling.sample_sequence_uo:
-    the run where the running count passes r, then that component's
-    operations of its earlier runs plus the offset. A lane's repair
-    answers when it keeps a witness: for some witness, every component
-    the witness touches ends on a residual that keeps its part. Built
-    from the DAGs of _component_dags; lanes walk in slices of at most
-    _LANE_CELLS lane-runs, so memory does not grow with the batch."""
+    operation by the rule of repairs._Space.select, on the run offsets
+    of _Component.ops, here shifted to positions in the joint child
+    array. A lane's repair answers when it keeps a witness: for some
+    witness, every component the witness touches ends on a residual that
+    keeps its part. Built from the DAGs of _component_dags; lanes walk in
+    slices of at most _LANE_CELLS lane-runs, so memory does not grow with
+    the batch."""
 
     def __init__(self, space, dags, q, answer):
         comps, runs = space.components()
-        width = max((len(comp.runs) for comp in comps), default=1)
+        width = max((len(comp.run_starts) for comp in comps), default=0) + 1
         sizes = [len(dag.masks) for dag in dags]
         base = np.cumsum([0] + sizes)  # position of each DAG's first residual
-        self._starts = np.empty(base[-1], dtype=np.int64)
         self._kids = np.empty(sum(len(dag.kids) for dag in dags), dtype=np.int64)
-        self._per_run = np.zeros((base[-1], width), dtype=np.int64)
+        # _offsets[i, j]: where in _kids residual i's operations of its
+        # component's run j start; at j = the component's run count, where
+        # its operations end
+        self._offsets = np.zeros((base[-1], width), dtype=np.int64)
         masks = []
         edges = 0
         for c, (comp, dag) in enumerate(zip(comps, dags)):
-            here = slice(base[c], base[c + 1])
-            dag_starts = np.asarray(dag.starts, dtype=np.int64)
             kids = self._kids[edges : edges + len(dag.kids)]
             kids[:] = dag.kids
             masks.append(np.asarray(dag.masks, dtype=np.int64))
-            if len(comp.runs) == 1:
-                self._per_run[here, 0] = np.diff(dag_starts)
-            else:  # an operation lies in the run of its lowest fact
-                parent = np.repeat(np.arange(sizes[c]), np.diff(dag_starts))
-                om = masks[c][parent] & ~masks[c][kids]
-                first = np.frexp((om & -om).astype(np.float64))[1] - 1
-                run = np.asarray(comp.run_of, dtype=np.int64)[first]
-                np.add.at(self._per_run, (parent + base[c], run), 1)
+            # children are in canonical order, so each residual's first
+            # facts ascend: one sorted key per child, searched per run start
+            parent = np.repeat(np.arange(sizes[c]), np.diff(dag.starts))
+            om = masks[c][parent] & ~masks[c][kids]
+            first = np.frexp((om & -om).astype(np.float64))[1] - 1
+            bounds = np.asarray(comp.run_starts + (comp.n,), dtype=np.int64)
+            wanted = np.arange(sizes[c])[:, None] * comp.n + bounds
+            self._offsets[base[c] : base[c + 1], : bounds.size] = edges + np.searchsorted(
+                parent * comp.n + first, wanted
+            )
             kids += base[c]
-            self._starts[here] = dag_starts[:-1] + edges
             edges += len(dag.kids)
-        self._before = np.cumsum(self._per_run, axis=1) - self._per_run
         self._first = base[:-1, None]
         self._roots = base[:-1] + np.asarray([dag.root for dag in dags], dtype=np.int64)
         self._run_comp = np.asarray([c for c, _ in runs], dtype=np.int64)
         self._run_local = np.asarray([j for _, j in runs], dtype=np.int64)
 
         # the root has every operation a lane can meet
-        max_ops = int(self._per_run[self._roots].sum())
+        max_ops = sum(len(dag.children(dag.root)) for dag in dags)
         rems = [(1 << 64) % c if c else 0 for c in range(max_ops + 1)]
         self._limit = np.asarray(
             [((1 << 64) - r) & _M64 for r in rems], dtype=np.uint64
@@ -360,10 +363,11 @@ class _UoWalkStream:
         live = np.arange(count) if self._run_comp.size else np.arange(0)
         while live.size:
             nodes = ids[self._run_comp[:, None], live]
-            cum = np.cumsum(self._per_run[nodes, self._run_local[:, None]], axis=0)
+            begin = self._offsets[nodes, self._run_local[:, None]]
+            cum = np.cumsum(self._offsets[nodes, self._run_local[:, None] + 1] - begin, axis=0)
             walking = cum[-1] > 0
             if not walking.all():
-                live, nodes, cum = live[walking], nodes[:, walking], cum[:, walking]
+                live, begin, cum = live[walking], begin[:, walking], cum[:, walking]
                 if not live.size:
                     break
             bounds = cum[-1]
@@ -381,10 +385,7 @@ class _UoWalkStream:
             run = (cum <= r).sum(axis=0)
             lane = np.arange(live.size)
             passed = np.where(run > 0, cum[np.maximum(run - 1, 0), lane], 0)
-            comp = self._run_comp[run]
-            node = nodes[run, lane]
-            k = self._before[node, self._run_local[run]] + r - passed
-            ids[comp, live] = self._kids[self._starts[node] + k]
+            ids[self._run_comp[run], live] = self._kids[begin[run, lane] + r - passed]
         local = ids - self._first  # positions within each component's DAG
         out = np.zeros(count, dtype=bool)
         for c, table in self._single.items():
@@ -460,13 +461,19 @@ class _UrBlockStream:
 
 
 def _component_dags(space, singleton_only: bool):
-    """The residual DAG of each conflict component, or None unless the
-    components' 2^facts add up to at most 2^16. Each component then has
-    at most 16 facts, and the DAGs together no more residuals than one
-    instance of 16 facts can have."""
+    """The residual DAG of each conflict component, or None when the
+    vector stream should not run. It runs on every instance of at most 16
+    conflict facts, whose component DAGs together are no larger than the
+    one DAG of the whole instance; on larger instances, when no component
+    has over 10 facts and the components' 2^facts add up to at most 2^16,
+    so that the DAGs build in about the time of a few hundred scalar
+    draws."""
     comps, _ = space.components()
     limit = 1 << _VECTOR_MASK_LIMIT
-    if sum(1 << comp.n for comp in comps) > limit:
+    if space.n > _VECTOR_MASK_LIMIT and (
+        max(comp.n for comp in comps) > _VECTOR_COMPONENT_LIMIT
+        or sum(1 << comp.n for comp in comps) > limit
+    ):
         return None
     return [comp.dag(singleton_only, limit) for comp in comps]
 

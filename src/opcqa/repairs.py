@@ -20,6 +20,7 @@ one of the answer's witness masks.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -324,52 +325,46 @@ class _Component(_Conflicts):
 
     Local bit i stands for the component's i-th fact in canonical order,
     facts[i] is its index in the _Space. A run is a maximal stretch of
-    consecutive _Space facts that lie in one component. An operation sorts
-    by its first fact, so the instance's canonical operation order lists
-    run after run, and the operations of one run are a contiguous slice
-    of its component's own canonical list. runs holds the component's
-    global run numbers in order, run_of the local run of each local fact.
+    consecutive _Space facts that lie in one component; run_starts holds
+    the local index of the first fact of each of the component's runs.
+    An operation sorts by its first fact, so the operations of one run are
+    a contiguous slice of the component's canonical list, and the
+    instance's canonical list takes those slices run after run (see
+    _Space.select).
     """
 
     def __init__(
         self,
         facts: tuple[int, ...],
         edges: tuple[tuple[int, int], ...],
-        run_of: tuple[int, ...],
-        runs: tuple[int, ...],
+        run_starts: tuple[int, ...],
     ):
         super().__init__(len(facts), edges)
         self.facts = facts
-        self.run_of = run_of
-        self.runs = runs
-        self._op: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {
-            (i,): (1 << i, (g,)) for i, g in enumerate(facts)
-        }
+        self.run_starts = run_starts
+        # one (_Space index tuple, local op mask) entry per operation, so
+        # that the tables below share entries instead of holding copies
+        self._entries = {(i,): ((g,), 1 << i) for i, g in enumerate(facts)}
         for (i, j), em in zip(edges, self.edge_masks):
-            self._op[(i, j)] = (em, (facts[i], facts[j]))
+            self._entries[(i, j)] = ((facts[i], facts[j]), em)
         # filled only when n <= _OPS_TABLE_LIMIT
         self._tables: tuple[dict, dict] = ({}, {})
 
     def ops(
         self, mask: int, singleton_only: bool
-    ) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], tuple[int, ...]]:
+    ) -> tuple[tuple[tuple[tuple[int, ...], int], ...], tuple[int, ...]]:
         """Justified operations of a local residual in canonical order, as
-        (local op mask, _Space index tuple) pairs, and their count in each
-        of the component's runs. Kept in a table for small components,
+        (_Space index tuple, local op mask) pairs, and the offsets of its
+        runs: the position of each run's first operation in that list,
+        then the list's length. Kept in a table for small components,
         recomputed from the component's own edges for larger ones."""
         table = self._tables[singleton_only]
         hit = table.get(mask)
         if hit is None:
             found = self._justified(mask, singleton_only)
-            ops = tuple(self._op[idx] for idx, _ in found)
-            if len(self.runs) == 1:
-                counts: tuple[int, ...] = (len(ops),)
-            else:
-                per_run = [0] * len(self.runs)
-                for idx, _ in found:
-                    per_run[self.run_of[idx[0]]] += 1
-                counts = tuple(per_run)
-            hit = (ops, counts)
+            firsts = [idx[0] for idx, _ in found]
+            offsets = tuple(bisect_left(firsts, s) for s in self.run_starts)
+            hit = (tuple(self._entries[idx] for idx, _ in found), offsets + (len(found),))
             if self.n <= _OPS_TABLE_LIMIT:
                 table[mask] = hit
         return hit
@@ -397,13 +392,13 @@ class _Space(_Conflicts):
         )
         self.untouched: frozenset[Fact] = db.facts - frozenset(involved)
         self._split: tuple[tuple[_Component, ...], tuple[tuple[int, int], ...]] | None = None
-        self._starts: list[tuple | None] = [None, None]
         self._operations: dict[tuple[int, ...], Operation] = {}
 
     def components(self) -> tuple[tuple[_Component, ...], tuple[tuple[int, int], ...]]:
         """The connected components of the conflict graph, ordered by their
-        first fact, and for each run (see _Component) the component it lies
-        in and its local run number; computed on first use."""
+        first fact, and for each run (see _Component), in fact order, the
+        component it lies in and its number among that component's runs;
+        computed on first use."""
         if self._split is None:
             parent = list(range(self.n))
 
@@ -418,44 +413,40 @@ class _Space(_Conflicts):
             number: dict[int, int] = {}
             local = [0] * self.n
             members: list[list[int]] = []
-            run_of: list[list[int]] = []
-            comp_runs: list[list[int]] = []
+            run_starts: list[list[int]] = []
             runs: list[tuple[int, int]] = []
             for i in range(self.n):
                 c = number.setdefault(root(i), len(members))
                 if c == len(members):
                     members.append([])
-                    run_of.append([])
-                    comp_runs.append([])
+                    run_starts.append([])
                 if not runs or runs[-1][0] != c:
-                    runs.append((c, len(comp_runs[c])))
-                    comp_runs[c].append(len(runs) - 1)
+                    runs.append((c, len(run_starts[c])))
+                    run_starts[c].append(len(members[c]))
                 local[i] = len(members[c])
                 members[c].append(i)
-                run_of[c].append(len(comp_runs[c]) - 1)
             edges: list[list[tuple[int, int]]] = [[] for _ in members]
             for i, j in self.edges:
                 edges[number[root(i)]].append((local[i], local[j]))
             comps = tuple(
-                _Component(tuple(f), tuple(e), tuple(o), tuple(r))
-                for f, e, o, r in zip(members, edges, run_of, comp_runs)
+                _Component(tuple(f), tuple(e), tuple(r))
+                for f, e, r in zip(members, edges, run_starts)
             )
             self._split = (comps, tuple(runs))
         return self._split
 
-    def walk_start(self, singleton_only: bool) -> tuple:
-        """Start of a step-by-step walk over the components: each one's
-        full local mask and operations (see _Component.ops), the count of
-        operations in each run, and their total; computed on first use."""
-        start = self._starts[singleton_only]
-        if start is None:
-            comps, runs = self.components()
-            current = [comp.ops(comp.full_mask, singleton_only) for comp in comps]
-            counts = [current[c][1][j] for c, j in runs]
-            start = self._starts[singleton_only] = (
-                [comp.full_mask for comp in comps], current, counts, sum(counts)
-            )
-        return start
+    def select(self, offsets: list[tuple[int, ...]], r: int) -> tuple[int, int]:
+        """The r-th justified operation of a joint residual in canonical
+        order, given each component's run offsets (see _Component.ops), as
+        (component, position in that component's list): the run where the
+        running count passes r, then the offset within it."""
+        for c, j in self.components()[1]:
+            off = offsets[c]
+            n = off[j + 1] - off[j]
+            if r < n:
+                return c, off[j] + r
+            r -= n
+        raise IndexError(r)
 
     def mask_of(self, facts: Iterable[Fact]) -> int | None:
         """Mask of conflict facts, or None if one of them is in no conflict."""

@@ -219,34 +219,28 @@ def sample_sequence_uo(
     uniform-operations chain's by construction. The walk holds one local
     residual per conflict component. A step draws r below the number of
     operations of all components and takes the r-th in the instance's
-    canonical order: the run (see repairs._Component) where the running
-    count passes r, then that component's operations of its earlier runs
-    plus the offset. Only the component it touches changes.
+    canonical order (repairs._Space.select); only the component it
+    touches changes.
     """
     space = _space(db, frozenset(sigma))
-    comps, runs = space.components()
-    masks, current, counts, total = space.walk_start(singleton_only)
-    masks, current, counts = masks[:], current[:], counts[:]
+    comps, _ = space.components()
+    masks = [comp.full_mask for comp in comps]
+    ops: list[tuple] = []
+    offsets: list[tuple[int, ...]] = []
+    for comp in comps:
+        found, off = comp.ops(comp.full_mask, singleton_only)
+        ops.append(found)
+        offsets.append(off)
+    total = sum(map(len, ops))
     path: list[tuple[int, ...]] = []
     while total:
-        r = rng.randbelow(total)
-        s = 0
-        while r >= counts[s]:
-            r -= counts[s]
-            s += 1
-        c, j = runs[s]
-        ops, per_run = current[c]
-        om, idx = ops[r + sum(per_run[:j]) if j else r]
+        c, k = space.select(offsets, rng.randbelow(total))
+        idx, om = ops[c][k]
         path.append(idx)
-        comp = comps[c]
         masks[c] &= ~om
-        current[c] = after = comp.ops(masks[c], singleton_only)
-        total += len(after[0]) - len(ops)
-        if len(comp.runs) == 1:
-            counts[s] = len(after[0])
-        else:
-            for s, n in zip(comp.runs, after[1]):
-                counts[s] = n
+        total -= len(ops[c])
+        ops[c], offsets[c] = comps[c].ops(masks[c], singleton_only)
+        total += len(ops[c])
     return RepairingSequence(tuple(space.operation_of(idx) for idx in path))
 
 

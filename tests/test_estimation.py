@@ -328,6 +328,30 @@ def test_vectorized_streams_match_scalar_reference():
         assert np.array_equal(got, want), kind.label
 
 
+def test_uo_stream_routing_by_component_size():
+    from opcqa import Atom, ConjunctiveQuery, Constant, Database, fact
+    from opcqa.estimation import _UoWalkStream
+
+    from fixtures import LADDER_KEY, LADDER_SCHEMA
+
+    def ladder(*sizes):
+        facts = [fact("R", f"k{b}", f"v{i}") for b, m in enumerate(sizes) for i in range(m)]
+        return Database.of(LADDER_SCHEMA, facts)
+
+    q = ConjunctiveQuery((Atom("R", (Constant("k0"), Constant("v0"))),))
+    # up to 16 conflict facts the stream runs whatever the components
+    stream = _indicator_stream(ladder(12, 2, 2), LADDER_KEY, UO, q, ())
+    assert isinstance(stream, _UoWalkStream)
+    # beyond 16, only when no component has over 10 facts
+    stream = _indicator_stream(ladder(11, 2, 2, 2), LADDER_KEY, UO, q, ())
+    assert isinstance(stream, _ScalarStream)
+    db = ladder(10, 10)
+    stream = _indicator_stream(db, LADDER_KEY, UO, q, ())
+    assert isinstance(stream, _UoWalkStream)
+    want = _ScalarStream(db, LADDER_KEY, UO, q, ()).batch(5, 0, 300)
+    assert np.array_equal(stream.batch(5, 0, 300), want)
+
+
 def test_vector_walk_slices_lanes_without_changing_draws(monkeypatch):
     from opcqa import Atom, ConjunctiveQuery, Constant, Variable, estimation
 

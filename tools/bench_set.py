@@ -4,11 +4,12 @@
         --workload monte-carlo --seeds 1-10 --out BENCH_<n>.json
 
 For every workload and seed, each side runs
-``python3 bench/run.py --workload W --seed S --seconds 25 --trace 0`` in its
-own checkout, under a timeout; which side goes first alternates from one
-seed to the next. Every run is kept with its wall time, exit status and
-result line. An existing output file is extended, not replaced, so sets
-run at different times add up. The summary gives, per workload and side,
+``python3 bench/run.py --workload W --seed S --seconds T --trace 0`` in its
+own checkout, with T the ``run_seconds`` of that checkout's
+BENCHMARK.json, under a timeout of TIMEOUT_S; which side goes first
+alternates from one seed to the next. Every run is kept with its run
+length, wall time, exit status and result line. An existing output file
+is extended, not replaced, so sets run at different times add up. The summary gives, per workload and side,
 the wall time of the runs, how many were not correct or had a failed
 request, and for each end-to-end metric the median and quartiles over the
 other runs; and how many pairs the second side won (ties count for
@@ -28,6 +29,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+TIMEOUT_S = 600  # per benchmark run
 
 METRICS = {  # name -> True when higher is better
     "setup_s": False,
@@ -57,15 +60,23 @@ def commit_of(path: Path) -> str | None:
     return out.stdout.strip()
 
 
-def run_once(path: Path, workload: str, seed: int, seconds: float, timeout: float) -> dict:
+def run_seconds(path: Path) -> float:
+    """The run length the checkout's BENCHMARK.json sets."""
+    return json.loads((path / "BENCHMARK.json").read_text())["run_seconds"]
+
+
+def run_once(path: Path, workload: str, seed: int) -> dict:
+    seconds = run_seconds(path)
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     start = time.monotonic()
     try:
-        proc = subprocess.run(argv, cwd=path, capture_output=True, text=True, timeout=timeout)
+        proc = subprocess.run(argv, cwd=path, capture_output=True, text=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
-        return {"wall_s": time.monotonic() - start, "error": f"timed out after {timeout} s"}
-    record: dict = {"wall_s": time.monotonic() - start, "exit": proc.returncode}
+        return {"seconds": seconds, "wall_s": time.monotonic() - start,
+                "error": f"timed out after {TIMEOUT_S} s"}
+    record: dict = {"seconds": seconds, "wall_s": time.monotonic() - start,
+                    "exit": proc.returncode}
     lines = proc.stdout.strip().splitlines()
     try:
         record["result"] = json.loads(lines[-1])
@@ -136,8 +147,6 @@ def main() -> int:
                         help="LABEL=PATH of a checkout; give two for pairs, the base first")
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seeds", required=True, help="e.g. 1-10 or 3,5,8")
-    parser.add_argument("--seconds", type=float, default=25)
-    parser.add_argument("--timeout", type=float, default=600)
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args()
 
@@ -147,7 +156,7 @@ def main() -> int:
         sides.append((label, Path(path).resolve()))
     labels = [label for label, _ in sides]
     data = json.loads(args.out.read_text()) if args.out.exists() else {"runs": []}
-    data["command"] = f"python3 bench/run.py --seconds {args.seconds:g} --trace 0"
+    data["command"] = "python3 bench/run.py --seconds <BENCHMARK.json run_seconds> --trace 0"
     data["host"] = {"cpus": os.cpu_count(), "python": platform.python_version()}
     commits = {label: commit_of(path) for label, path in sides}
 
@@ -157,7 +166,7 @@ def main() -> int:
                        for r in data["runs"])
             order = sides if n % 2 == 0 else sides[::-1]
             for label, path in order:
-                record = run_once(path, workload, seed, args.seconds, args.timeout)
+                record = run_once(path, workload, seed)
                 data["runs"].append({"workload": workload, "seed": seed, "pair": pair,
                                      "side": label, "commit": commits[label], **record})
                 print(json.dumps(data["runs"][-1]), flush=True)
