@@ -9,11 +9,11 @@ own checkout, with T the ``run_seconds`` of that checkout's
 BENCHMARK.json, under a timeout of TIMEOUT_S; which side goes first
 alternates from one seed to the next. Every run is kept with its run
 length, wall time, exit status and result line. An existing output file
-is extended, not replaced, so sets run at different times add up. The summary gives, per workload and side,
-the wall time of the runs, how many were not correct or had a failed
-request, and for each end-to-end metric the median and quartiles over the
-other runs; and how many pairs the second side won (ties count for
-neither side).
+is extended, not replaced, so sets run at different times add up. The
+summary gives, per workload and side, the wall time of the runs, how
+many were not correct or had a failed request, and for each end-to-end
+metric the median and quartiles over the other runs; and how many pairs
+the second side won (ties count for neither side).
 
 Uses the standard library only.
 """
