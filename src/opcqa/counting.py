@@ -1,17 +1,29 @@
-"""Closed-form and dynamic-programming counters for primary-key instances.
+"""Closed-form and generating-function counters for primary-key instances.
 
 Under primary keys the conflict graph is a disjoint union of block
 cliques, so candidate repairs and complete repairing sequences factor
 over blocks. Blocks of size 1 admit no operation and drop out of every
 formula. Everything here is exact integer arithmetic; callers that need
 probabilities divide Fractions elsewhere.
+
+Complete sequences of separate blocks are exactly the shuffles of
+per-block sequences, so their counts multiply as exponential generating
+functions (EGFs), the labelled product of Flajolet and Sedgewick
+(*Analytic Combinatorics*, 2009). Each block size m has a length table
+N_m(l), the complete sequences over one block with l operations; two
+length tables combine by the binomial convolution
+c[L] = sum_l C(L, l) a[l] b[L-l], and a profile's total is the sum of
+its table. Every counter here runs on that product. The source paper's
+block DP P_j^{k,i} (``build_sequence_count_table``) stays public because
+its cells are the paper's worked quantities, which the regression tests
+pin; no hot path uses it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 from typing import Iterable, Sequence
 
 from .relational import Database, FunctionalDependency, blocks
@@ -104,13 +116,28 @@ def block_seq_count(m: int, i: int, empties: bool) -> int:
     )
 
 
-def _block_total(m: int) -> int:
-    """All complete sequences over a single block of size m."""
-    return sum(
-        block_seq_count(m, i, empties)
-        for empties in (False, True)
-        for i in range(m // 2 + 1)
-    )
+@lru_cache(maxsize=None)
+def _block_lengths(m: int) -> tuple[int, ...]:
+    """N_m(l) for l = 0..m: complete sequences over one block of size m
+    with l operations. With i pair removals a kept block takes m-1-i
+    operations and an emptied one m-i."""
+    out = [0] * (m + 1)
+    for i in range(m // 2 + 1):
+        out[m - 1 - i] += block_seq_count(m, i, False)
+        out[m - i] += block_seq_count(m, i, True)
+    return tuple(out)
+
+
+def _shuffle(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Length table of the shuffles of two independent sequence sets: the
+    binomial convolution c[L] = sum_l C(L, l) a[l] b[L-l]."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += comb(i + j, i) * x * y
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -241,13 +268,16 @@ def _profile_count(nontrivial: tuple[int, ...], singleton_only: bool) -> int:
         for m in nontrivial:
             out = _exact_div(out * factorial(m), factorial(m - 1))
     else:
-        out = build_sequence_count_table(nontrivial).total()
+        table = [1]
+        for m in nontrivial:
+            table = _shuffle(table, _block_lengths(m))
+        out = sum(table)
     return out
 
 
 def count_complete_sequences(db: Database, sigma: Iterable[FunctionalDependency]) -> int:
     profile = BlockProfile.from_database(db, frozenset(sigma))
-    return build_sequence_count_table(profile.nontrivial_sizes).total()
+    return sequence_count_for_profile(profile.sizes)
 
 
 def count_complete_sequences_singleton(

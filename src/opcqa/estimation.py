@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SizeCapError, UnsupportedCombinationError
-from .queries import ConjunctiveQuery, mask_entails, witness_masks, witnesses
+from .queries import ConjunctiveQuery, witness_masks, witnesses
 from .relational import Database, FunctionalDependency, is_keys, is_primary_keys
 from .repairs import GeneratorKind, _space
 from .sampling import (
@@ -400,45 +400,44 @@ class _UoWalkStream:
 
 class _UrBlockStream:
     """Vectorized uniform-repair draws under primary keys: one categorical
-    draw per conflicting block per lane, entailment memoized over the
-    (small) space of block-choice combinations. Block facts get one bit
-    each, in block order; facts outside the blocks are always kept."""
+    draw per conflicting block per lane, in block order, with the exact
+    64-bit rejection rule of RandomSource.randbelow. Facts outside the
+    blocks are always kept, so a witness holds on a lane when each block
+    fact it contains is its block's choice (never, when it has two facts
+    in one block). Only the choices of blocks some witness touches are
+    kept, as one array per block."""
 
     def __init__(self, db, sigma, kind, q, answer):
-        nontrivial, _ = _key_blocks(db, frozenset(sigma))
+        nontrivial, _, _ = _key_blocks(db, frozenset(sigma))
         self._draws = [
             len(facts) if kind.singleton_only else len(facts) + 1
             for facts in nontrivial
         ]
-        product = 1
-        for n in self._draws:
-            product *= n
-        if product > 1 << 63:
-            raise OverflowError("block-choice key exceeds 64 bits")
-        bit = {f: 1 << i for i, f in enumerate(f for facts in nontrivial for f in facts)}
-        self._bits = [[bit[f] for f in facts] for facts in nontrivial]
-        self._witness = witness_masks(witnesses(q, db, answer).get(answer, ()), bit)
-        self._memo: dict[int, int] = {}
-
-    def _indicator_of(self, key: int) -> int:
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        kept = 0
-        rest = key
-        for bits, n in zip(reversed(self._bits), reversed(self._draws)):
-            rest, choice = divmod(rest, n)
-            if choice < len(bits):
-                kept |= bits[choice]
-        value = int(mask_entails(self._witness, kept))
-        self._memo[key] = value
-        return value
+        where = [(b, i) for b, facts in enumerate(nontrivial) for i in range(len(facts))]
+        bit = {f: 1 << j for j, f in enumerate(f for facts in nontrivial for f in facts)}
+        self._always = False
+        # per block, the choices that keep a witness within it; witnesses
+        # across blocks as (block, choice) pairs
+        self._single: dict[int, np.ndarray] = {}
+        self._joint: list[list[tuple[int, int]]] = []
+        for w in witness_masks(witnesses(q, db, answer).get(answer, ()), bit):
+            parts = [where[j] for j in range(w.bit_length()) if w >> j & 1]
+            if not parts:
+                self._always = True
+            elif len(parts) == 1:
+                ((b, i),) = parts
+                self._single.setdefault(b, np.zeros(self._draws[b], dtype=bool))[i] = True
+            else:
+                self._joint.append(parts)
+        self._touched = set(self._single) | {b for parts in self._joint for b, _ in parts}
 
     def batch(self, seed: int, base: int, count: int) -> np.ndarray:
+        if self._always:
+            return np.ones(count, dtype=np.uint8)
         bases = _stream_bases(seed, base, count)
         drawn = np.zeros(count, dtype=np.uint64)
-        keys = np.zeros(count, dtype=np.uint64)
-        for n in self._draws:
+        choices: dict[int, np.ndarray] = {}
+        for b, n in enumerate(self._draws):
             drawn += np.uint64(1)
             u = _mix64_array(bases + drawn * np.uint64(GOLDEN))
             rem = (1 << 64) % n
@@ -452,12 +451,17 @@ class _UrBlockStream:
                     )
                     u[pending] = redraw
                     pending = pending[redraw >= limit]
-            keys = keys * np.uint64(n) + u % np.uint64(n)
-        uniques, inverse = np.unique(keys, return_inverse=True)
-        table = np.asarray(
-            [self._indicator_of(int(key)) for key in uniques], dtype=np.uint8
-        )
-        return table[inverse]
+            if b in self._touched:
+                choices[b] = (u % np.uint64(n)).astype(np.int64)
+        out = np.zeros(count, dtype=bool)
+        for b, table in self._single.items():
+            out |= table[choices[b]]
+        for parts in self._joint:
+            hit = np.ones(count, dtype=bool)
+            for b, i in parts:
+                hit &= choices[b] == i
+            out |= hit
+        return out.astype(np.uint8)
 
 
 def _component_dags(space, singleton_only: bool):
@@ -488,10 +492,7 @@ def _indicator_stream(db, sigma, kind, q, answer):
         if dags is not None:
             return _UoWalkStream(space, dags, q, answer)
     if kind.family == "ur":
-        try:
-            return _UrBlockStream(db, sigma, kind, q, answer)
-        except OverflowError:
-            pass
+        return _UrBlockStream(db, sigma, kind, q, answer)
     return _ScalarStream(db, sigma, kind, q, answer)
 
 

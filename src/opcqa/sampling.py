@@ -16,11 +16,12 @@ hit their target distributions exactly, not merely approximately.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .counting import sequence_count_for_profile
+from .counting import _profile_count
 from .errors import UnsupportedCombinationError
 from .relational import Block, Database, Fact, FunctionalDependency, blocks, is_primary_keys
 from .repairs import GeneratorKind, Operation, RepairingSequence, _space
@@ -117,13 +118,15 @@ class SampleOutcome:
 @lru_cache(maxsize=256)
 def _key_blocks(
     db: Database, sigma: frozenset[FunctionalDependency]
-) -> tuple[tuple[tuple[Fact, ...], ...], frozenset[Fact]]:
+) -> tuple[tuple[tuple[Fact, ...], ...], frozenset[Fact], tuple[tuple[Fact, int], ...]]:
     """(facts of each block of size >= 2, in block order; facts kept
-    unconditionally). Raises for non-primary-key FD sets."""
+    unconditionally; the facts of those blocks in fact order, each with
+    its block's number). Raises for non-primary-key FD sets."""
     parts: list[Block] = blocks(db, sigma)
     nontrivial = tuple(b.sorted_facts for b in parts if b.size >= 2)
     always = frozenset(f for b in parts if b.size < 2 for f in b.facts)
-    return nontrivial, always
+    conflict = tuple(sorted((f, b) for b, facts in enumerate(nontrivial) for f in facts))
+    return nontrivial, always, conflict
 
 
 def sample_repair_uniform(
@@ -138,7 +141,7 @@ def sample_repair_uniform(
     (m+1 equally likely outcomes; m in singleton mode, where emptying is
     unreachable). Draws happen in block order.
     """
-    nontrivial, always = _key_blocks(db, frozenset(sigma))
+    nontrivial, always, _ = _key_blocks(db, frozenset(sigma))
     kept = set(always)
     for facts in nontrivial:
         m = len(facts)
@@ -148,10 +151,22 @@ def sample_repair_uniform(
     return db.restrict(kept)
 
 
-def _profile_after(sizes: dict[int, int], block: int, removed: int) -> tuple[int, ...]:
-    out = dict(sizes)
-    out[block] -= removed
-    return tuple(sorted(out.values()))
+@lru_cache(maxsize=4096)
+def _step_table(
+    profile: tuple[int, ...], singleton_only: bool
+) -> tuple[int, list[int], list[int]]:
+    """(N(P), w1, w2) for a profile P of active block sizes, sorted
+    ascending: N(P) counts the complete sequences, and wk[m] those left
+    after an operation that removes k facts from a block of size m."""
+    w1 = [0] * (profile[-1] + 1)
+    w2 = [0] * (profile[-1] + 1)
+    for m in set(profile):
+        rest = list(profile)
+        rest.remove(m)
+        for k, w in ((1, w1),) if singleton_only else ((1, w1), (2, w2)):
+            after = rest + [m - k] if m - k >= 2 else rest
+            w[m] = _profile_count(tuple(sorted(after, reverse=True)), singleton_only)
+    return _profile_count(profile[::-1], singleton_only), w1, w2
 
 
 def sample_sequence_uniform(
@@ -164,41 +179,57 @@ def sample_sequence_uniform(
 
     Each step draws a justified operation with probability proportional
     to the number of complete sequences below it; the products telescope
-    so every leaf comes out at exactly 1/|CRS|.
+    so every leaf comes out at exactly 1/|CRS|. The step draws
+    r = randbelow(N(P)), with P the sorted sizes of the blocks still
+    active, and takes the operation at which the weights, summed in
+    canonical order (by first fact, (f,) before (f, g), then by g), pass
+    r. An operation's weight depends only on its block's size m and the
+    number k of facts it removes, so one cached table per profile
+    (_step_table) holds N(P) and every weight: a step is one lookup and
+    one scan of the remaining conflict facts in fact order, where fact f
+    weighs w1[m] plus w2[m] per later fact of its block. Blocks may
+    interleave in fact order (a key that is not the first column), so
+    the scan follows the facts, not the blocks.
     """
-    nontrivial, _ = _key_blocks(db, frozenset(sigma))
-    remaining: list[list[Fact]] = [list(facts) for facts in nontrivial]
+    nontrivial, _, conflict = _key_blocks(db, frozenset(sigma))
+    # facts by their position in fact order
+    block = [b for _, b in conflict]
+    remaining: list[list[int]] = [[] for _ in nontrivial]
+    for p, b in enumerate(block):
+        remaining[b].append(p)
+    sizes = [len(facts) for facts in nontrivial]
+    profile = sorted(sizes)
+    order = list(range(len(conflict)))  # the facts still in an active block
     ops: list[Operation] = []
-    while True:
-        active = {b: len(facts) for b, facts in enumerate(remaining) if len(facts) >= 2}
-        if not active:
-            break
-        # candidate operations across all active blocks, canonical order
-        candidates: list[tuple[tuple, int, tuple[Fact, ...]]] = []
-        for b in active:
-            facts = remaining[b]
-            for i, f in enumerate(facts):
-                candidates.append(((f.key,), b, (f,)))
-                if not singleton_only:
-                    for g in facts[i + 1 :]:
-                        candidates.append(((f.key, g.key), b, (f, g)))
-        candidates.sort(key=lambda c: c[0])
-        weights = [
-            sequence_count_for_profile(
-                _profile_after(active, b, len(removed)), singleton_only
-            )
-            for _, b, removed in candidates
-        ]
-        total = sum(weights)
+    while order:
+        total, w1, w2 = _step_table(tuple(profile), singleton_only)
         r = rng.randbelow(total)
-        acc = 0
-        for (_, b, removed), w in zip(candidates, weights):
-            acc += w
-            if r < acc:
-                ops.append(Operation(frozenset(removed)))
-                for f in removed:
-                    remaining[b].remove(f)
+        seen = [0] * len(sizes)
+        for p in order:
+            b = block[p]
+            m = sizes[b]
+            seen[b] += 1
+            if r < w1[m]:
+                removed = (p,)
                 break
+            r -= w1[m]
+            if not singleton_only:
+                later = (m - seen[b]) * w2[m]
+                if r < later:
+                    removed = (p, remaining[b][seen[b] + r // w2[m]])
+                    break
+                r -= later
+        ops.append(Operation(frozenset(conflict[q][0] for q in removed)))
+        left = remaining[b]
+        for q in removed:
+            left.remove(q)
+            order.remove(q)
+        profile.remove(sizes[b])
+        sizes[b] = len(left)
+        if len(left) >= 2:
+            insort(profile, len(left))
+        elif left:
+            order.remove(left[0])
     return RepairingSequence(tuple(ops))
 
 

@@ -5,11 +5,13 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opcqa import (
     BlockProfile,
     ConstraintClassError,
     Database,
+    FunctionalDependency,
     block_seq_count,
     build_sequence_count_table,
     count_candidate_repairs,
@@ -27,7 +29,7 @@ from bruteforce import (
     bf_complete_sequences,
     random_primary_key_instance,
 )
-from fixtures import keyed_instance, triple_instance
+from fixtures import keyed_instance, ladder_instance, triple_instance
 
 
 def test_worked_example_counts():
@@ -129,3 +131,32 @@ def test_random_instances_match_enumeration():
             bf_candidate_repairs(db, SWEEP_KEY, singleton_only=True)
         )
         checked += 1
+
+
+@given(st.lists(st.integers(2, 6), max_size=8))
+@settings(max_examples=60)
+def test_egf_totals_match_the_block_dp(sizes):
+    assert sequence_count_for_profile(sizes) == build_sequence_count_table(sizes).total()
+
+
+SECOND_COLUMN_KEY = frozenset([FunctionalDependency.of("R", ("A2",), ("A1",))])
+
+
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+@settings(max_examples=40)
+def test_egf_totals_match_enumeration(sizes):
+    # blocks keyed on the first column, and the same blocks keyed on the
+    # second, whose facts interleave in fact order
+    facts = [(f"k{b}", f"v{v}") for b, m in enumerate(sizes) for v in range(m)]
+    first = Database.of(SWEEP_SCHEMA, [fact("R", k, v) for k, v in facts])
+    second = Database.of(SWEEP_SCHEMA, [fact("R", v, k) for k, v in facts])
+    for db, sigma in ((first, SWEEP_KEY), (second, SECOND_COLUMN_KEY)):
+        total = count_complete_sequences(db, sigma)
+        assert total == sequence_count_for_profile(sizes)
+        if total <= 3000:
+            assert total == len(bf_complete_sequences(db, sigma))
+
+
+def test_sixty_block_ladder_count_matches_the_block_dp():
+    db, sigma = ladder_instance(60, 3)
+    assert count_complete_sequences(db, sigma) == build_sequence_count_table([3] * 60).total()

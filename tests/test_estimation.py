@@ -302,7 +302,18 @@ def test_vectorized_streams_match_scalar_reference():
             Atom("R", (Constant("a2"), Variable("y"), Variable("w"))),
         )
     )
+    # block-choice products of 4^40 and 3^40, both beyond 2^63
+    big_db, big_sigma = ladder_instance(40, 3)
+    big_q = ConjunctiveQuery(
+        (
+            Atom("R", (Constant("k3"), Variable("x"))),
+            Atom("R", (Constant("k30"), Variable("x"))),
+        ),
+        (Variable("x"),),
+    )
     vectorized = [
+        (big_db, big_sigma, UR, big_q, ("v1",)),
+        (big_db, big_sigma, UR1, ladder_q, ("v2",)),
         (ladder_db, ladder_sigma, UO, ladder_q, ("v0",)),
         (ladder_db, ladder_sigma, UO1, ladder_q, ("v2",)),
         (inter_db, inter_sigma, UO, inter_q, ()),

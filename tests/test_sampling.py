@@ -12,19 +12,26 @@ from opcqa import (
     UR,
     UR1,
     US,
+    Database,
+    FunctionalDependency,
     RandomSource,
+    Schema,
     UnsupportedCombinationError,
     repair_distribution,
     sample_outcome,
     sample_repair_uniform,
     sample_sequence_uniform,
     sample_sequence_uo,
+    fact,
 )
 
 from opcqa.repairs import _space
 from opcqa.sampling import mix64
 
 from fixtures import (
+    LADDER_KEY,
+    LADDER_SCHEMA,
+    TRIPLE_SCHEMA,
     interleaved_instance,
     keyed_instance,
     ladder_instance,
@@ -248,6 +255,113 @@ def test_uo_walk_memory_stays_bounded_on_a_25_block_ladder():
     finally:
         tracemalloc.stop()
     assert peak < 30 * 2**20
+
+
+# Draws of the uniform-sequences sampler that weighed every candidate
+# operation by recounting its profile, per (instance, generator) for
+# RandomSource(0..4), in the notation of UO_WALK_PINS.
+US_PINS = {
+    ("ladder", "us"): [
+        "17 23 10-11 7 5 2 21 19 16-18 15 4-6 0 14 22 9",
+        "4 2 22 12 17 0-1 10-11 21 19 5-6 16 15 7-8 14 20-23",
+        "2 22 15 12 9 7 19 13-14 20 23 4 1 16 17-18 5-6 10",
+        "10 13 7 14 2 18 21 17 4 23 11 20 16-19 1 5 9",
+        "7 19 14 10 12 9 6 1 13-15 3 17 5 21-23 16 22",
+    ],
+    ("ladder", "us1"): [
+        "6 11 17 21 15 18 7 10 1 4 13 20 8 3 16 23",
+        "13 0 23 18 10 22 7 5 12 8 21 14 4 3 16 17",
+        "6 1 15 9 22 13 16 21 23 10 3 18 12 5 8 17",
+        "16 14 9 13 3 0 10 17 21 20 5 23 19 11 7 6",
+        "16 3 13 7 20 22 12 9 23 18 19 11 4 14 6 0",
+    ],
+    ("second", "us"): [
+        "6 1-3 5 2 8 4",
+        "6 4-9 0-8 2 3",
+        "4-9 1 6 5 0 2",
+        "5-8 1-3 0-2 4",
+        "3 6 4 0 2-8",
+    ],
+    ("second", "us1"): [
+        "6 4 2 3 0 5",
+        "2 9 6 5 1 0",
+        "0 6 8 4 1 2",
+        "5 6 0 9 8 3",
+        "6 8 0 5 1 9",
+    ],
+    ("two", "us"): [
+        "4 2 9 8-10 5-6 0",
+        "10 2 3 0-1 9 5",
+        "9 0 1-2 6 4 8",
+        "3-4 8-9 1 5-6 0",
+        "1 0-2 10 8 5 4",
+    ],
+    ("two", "us1"): [
+        "5 9 10 2 1 3",
+        "9 6 0 2 4 8",
+        "8 6 9 0 1 3",
+        "8 0 3 10 6 2",
+        "9 1 3 8 0 6",
+    ],
+}
+
+
+def _us_ladder_instance():
+    """Eight primary-key blocks of sizes 2, 2, 3, 3, 3, 3, 4, 4."""
+    sizes = (2, 2, 3, 3, 3, 3, 4, 4)
+    facts = [fact("R", f"k{b}", f"v{i}") for b, m in enumerate(sizes) for i in range(m)]
+    return Database.of(LADDER_SCHEMA, facts), LADDER_KEY
+
+
+def _us_second_column_instance():
+    """R(A,B,C) under the primary key B: blocks of sizes 4, 3, 2, 1 whose
+    facts interleave in fact order."""
+    rows = [(f"a{i}", "b0", f"c{i % 2}") for i in range(4)]
+    rows += [(f"a{i}", "b1", "c0") for i in range(3)]
+    rows += [("a1", "b2", "c1"), ("a3", "b2", "c1"), ("a2", "b3", "c0")]
+    return Database.of(TRIPLE_SCHEMA, [fact("R", *r) for r in rows]), frozenset(
+        [FunctionalDependency.of("R", ("B",), ("A", "C"))]
+    )
+
+
+def _us_two_relation_instance():
+    """Primary keys on two relations: R blocks of sizes 3, 2; S of 2, 1, 3."""
+    schema = Schema.of(R=("K", "V"), S=("K", "V"))
+    sizes = {"R": (3, 2), "S": (2, 1, 3)}
+    facts = [
+        fact(rel, f"k{b}", f"v{i}")
+        for rel, ms in sizes.items()
+        for b, m in enumerate(ms)
+        for i in range(m)
+    ]
+    return Database.of(schema, facts), frozenset(
+        [FunctionalDependency.of(rel, ("K",), ("V",)) for rel in sizes]
+    )
+
+
+US_INSTANCES = {
+    "ladder": _us_ladder_instance,
+    "second": _us_second_column_instance,
+    "two": _us_two_relation_instance,
+}
+
+
+def test_us_draws_are_pinned():
+    for (name, label), want in US_PINS.items():
+        db, sigma = US_INSTANCES[name]()
+        order = {f: i for i, f in enumerate(sorted(db.facts))}
+        got = [
+            " ".join(
+                "-".join(str(order[f]) for f in sorted(op.removed))
+                for op in sample_sequence_uniform(db, sigma, RandomSource(seed), label == "us1")
+            )
+            for seed in range(5)
+        ]
+        assert got == want, (name, label)
+    # the blocks of the second-column key interleave in fact order
+    db, _ = _us_second_column_instance()
+    keys = [f.values[1] for f in sorted(db.facts)]
+    assert keys != sorted(keys)
 
 
 # ---------------------------------------------------------------------------
