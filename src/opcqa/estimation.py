@@ -408,7 +408,7 @@ class _UrBlockStream:
     kept, as one array per block."""
 
     def __init__(self, db, sigma, kind, q, answer):
-        nontrivial, _, _ = _key_blocks(db, frozenset(sigma))
+        nontrivial = _key_blocks(db, frozenset(sigma)).nontrivial
         self._draws = [
             len(facts) if kind.singleton_only else len(facts) + 1
             for facts in nontrivial

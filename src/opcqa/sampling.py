@@ -19,7 +19,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .counting import _profile_count
 from .errors import UnsupportedCombinationError
@@ -115,18 +115,45 @@ class SampleOutcome:
 # ---------------------------------------------------------------------------
 
 
+class _KeyBlocks(NamedTuple):
+    """The blocks of a primary-key instance."""
+
+    nontrivial: tuple[tuple[Fact, ...], ...]  # facts of each block of size >= 2, in block order
+    always: frozenset[Fact]  # facts kept unconditionally
+    facts: tuple[Fact, ...]  # the facts of the nontrivial blocks, in fact order
+    block: tuple[int, ...]  # the block of each of those facts
+    members: tuple[tuple[int, ...], ...]  # positions in facts of each block's facts
+    operations: dict[tuple[int, ...], Operation]  # by positions, made on first use
+
+    def operation(self, idx: tuple[int, ...]) -> Operation:
+        """The operation removing the facts at these positions, made once
+        per position tuple: at most one per fact and one per pair of a
+        block."""
+        op = self.operations.get(idx)
+        if op is None:
+            op = self.operations[idx] = Operation(frozenset(self.facts[i] for i in idx))
+        return op
+
+
 @lru_cache(maxsize=256)
-def _key_blocks(
-    db: Database, sigma: frozenset[FunctionalDependency]
-) -> tuple[tuple[tuple[Fact, ...], ...], frozenset[Fact], tuple[tuple[Fact, int], ...]]:
-    """(facts of each block of size >= 2, in block order; facts kept
-    unconditionally; the facts of those blocks in fact order, each with
-    its block's number). Raises for non-primary-key FD sets."""
+def _key_blocks(db: Database, sigma: frozenset[FunctionalDependency]) -> _KeyBlocks:
+    """The blocks of a primary-key instance. Raises for non-primary-key
+    FD sets."""
     parts: list[Block] = blocks(db, sigma)
     nontrivial = tuple(b.sorted_facts for b in parts if b.size >= 2)
     always = frozenset(f for b in parts if b.size < 2 for f in b.facts)
-    conflict = tuple(sorted((f, b) for b, facts in enumerate(nontrivial) for f in facts))
-    return nontrivial, always, conflict
+    conflict = sorted((f, b) for b, facts in enumerate(nontrivial) for f in facts)
+    members: list[list[int]] = [[] for _ in nontrivial]
+    for p, (_, b) in enumerate(conflict):
+        members[b].append(p)
+    return _KeyBlocks(
+        nontrivial,
+        always,
+        tuple(f for f, _ in conflict),
+        tuple(b for _, b in conflict),
+        tuple(map(tuple, members)),
+        {},
+    )
 
 
 def sample_repair_uniform(
@@ -141,9 +168,9 @@ def sample_repair_uniform(
     (m+1 equally likely outcomes; m in singleton mode, where emptying is
     unreachable). Draws happen in block order.
     """
-    nontrivial, always, _ = _key_blocks(db, frozenset(sigma))
-    kept = set(always)
-    for facts in nontrivial:
+    kb = _key_blocks(db, frozenset(sigma))
+    kept = set(kb.always)
+    for facts in kb.nontrivial:
         m = len(facts)
         choice = rng.randbelow(m if singleton_only else m + 1)
         if choice < m:
@@ -191,16 +218,13 @@ def sample_sequence_uniform(
     interleave in fact order (a key that is not the first column), so
     the scan follows the facts, not the blocks.
     """
-    nontrivial, _, conflict = _key_blocks(db, frozenset(sigma))
-    # facts by their position in fact order
-    block = [b for _, b in conflict]
-    remaining: list[list[int]] = [[] for _ in nontrivial]
-    for p, b in enumerate(block):
-        remaining[b].append(p)
-    sizes = [len(facts) for facts in nontrivial]
+    kb = _key_blocks(db, frozenset(sigma))
+    block = kb.block
+    remaining = [list(ps) for ps in kb.members]
+    sizes = [len(ps) for ps in kb.members]
     profile = sorted(sizes)
-    order = list(range(len(conflict)))  # the facts still in an active block
-    ops: list[Operation] = []
+    order = list(range(len(block)))  # the facts still in an active block
+    path: list[tuple[int, ...]] = []
     while order:
         total, w1, w2 = _step_table(tuple(profile), singleton_only)
         r = rng.randbelow(total)
@@ -219,7 +243,7 @@ def sample_sequence_uniform(
                     removed = (p, remaining[b][seen[b] + r // w2[m]])
                     break
                 r -= later
-        ops.append(Operation(frozenset(conflict[q][0] for q in removed)))
+        path.append(removed)
         left = remaining[b]
         for q in removed:
             left.remove(q)
@@ -230,7 +254,7 @@ def sample_sequence_uniform(
             insort(profile, len(left))
         elif left:
             order.remove(left[0])
-    return RepairingSequence(tuple(ops))
+    return RepairingSequence(tuple(kb.operation(idx) for idx in path))
 
 
 # ---------------------------------------------------------------------------
