@@ -30,7 +30,6 @@ __all__ = [
     "entails",
     "witnesses",
     "witness_masks",
-    "mask_entails",
 ]
 
 
@@ -228,8 +227,3 @@ def witness_masks(
         if not any(k & m == k for k in kept):
             kept.append(m)
     return tuple(kept)
-
-
-def mask_entails(masks: Iterable[int], residual: int) -> bool:
-    """Does the residual (a bitmask of surviving facts) keep a witness?"""
-    return any(m & residual == m for m in masks)

@@ -144,6 +144,14 @@ class Database:
         """Same schema, different fact set."""
         return Database(self.schema, frozenset(facts))
 
+    def _subset(self, facts: frozenset[Fact]) -> "Database":
+        """The sub-database on some of this database's facts, which passed
+        its arity check already, so none is checked again."""
+        out = object.__new__(Database)
+        object.__setattr__(out, "schema", self.schema)
+        object.__setattr__(out, "facts", facts)
+        return out
+
     def facts_of(self, relation: str) -> list[Fact]:
         return sorted(f for f in self.facts if f.relation == relation)
 

@@ -6,16 +6,23 @@ consistent. The space of all such sequences forms a rooted tree; the
 three generator families (uniform repairs, uniform sequences, uniform
 operations) only differ in the probabilities they attach to its edges.
 
-Exact probabilities are computed on the subset graph of residual
-databases rather than the tree itself: FD violations are a property of a
-fact pair alone, so the justified operations of a residual depend only
-on which facts remain. The explicit tree is still materialized by
-build_chain for golden tests and the chain-dump command, and the two
-views are cross-checked in the test suite.
+Exact quantities are computed on the subset graph of residual databases
+rather than the tree itself: FD violations are a property of a fact pair
+alone, so the justified operations of a residual depend only on which
+facts remain. The explicit tree is still materialized by build_chain for
+golden tests and the chain-dump command, and the two views are
+cross-checked in the test suite.
 
-Query answers are read off the same bitmask view: the query is evaluated
-once on the full database, and a residual returns an answer iff it keeps
-one of the answer's witness masks.
+Exact probabilities are factorised over the connected components of the
+conflict graph, which repair independently: each component's residual
+DAG gives a table of its candidate repairs with one weight each, and the
+tables combine by product (uniform repairs and operations) or by the
+shuffle of sequences, an exponential generating function product over
+sequence lengths (uniform sequences). The query is evaluated once on the
+full database; a repair returns an answer iff it keeps one of the
+answer's witness masks, so an answer's probability sums over the joint
+repairs of the components its witnesses touch only. The others cancel,
+or under uniform sequences fold into one table of counts by length.
 """
 
 from __future__ import annotations
@@ -24,10 +31,14 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator
+from itertools import product
+from math import prod
+from operator import mul
+from typing import Iterable, Iterator, NamedTuple
 
+from .counting import _shuffle
 from .errors import SizeCapError
-from .queries import ConjunctiveQuery, mask_entails, witness_masks, witnesses
+from .queries import ConjunctiveQuery, witness_masks, witnesses
 from .relational import (
     Database,
     Fact,
@@ -114,7 +125,7 @@ class RepairingSequence:
         return frozenset(f for op in self.ops for f in op.removed)
 
     def result(self, db: Database) -> Database:
-        return db.restrict(db.facts - self.removed_facts)
+        return db._subset(db.facts - self.removed_facts)
 
     def is_complete(self, db: Database, sigma: Iterable[FunctionalDependency]) -> bool:
         return not violations(self.result(db), sigma)
@@ -471,7 +482,7 @@ class _Space(_Conflicts):
 
     def database_of(self, mask: int) -> Database:
         kept = frozenset(self.facts[i] for i in range(self.n) if mask >> i & 1)
-        return self.db.restrict(kept | self.untouched)
+        return self.db._subset(kept | self.untouched)
 
     def operation_of(self, idx: tuple[int, ...]) -> Operation:
         """The operation removing the indexed facts, made once per index
@@ -788,32 +799,164 @@ class RepairDistribution:
         return len(self.probs)
 
 
-def _mask_distribution(
-    space: _Space, kind: GeneratorKind, cap: int
-) -> dict[int, Fraction]:
-    """Exact probability of each candidate repair, keyed by its mask.
+class _Table(NamedTuple):
+    """The candidate repairs of one conflict component under one
+    generator, as masks over the _Space's facts with one weight each;
+    within its component a repair has probability weight / total.
 
-    Uniform-repairs is uniform over the DAG's leaves. Uniform-sequences
-    and uniform-operations push weight forward from the full database:
-    each edge passes on its parent's weight (a count of paths) or an
-    equal share of it (the walk's probability).
+    Weights are 1 (ur), the walk's probability (uo) or the number of
+    complete sequences ending there (us). With several components a us
+    weight is a length table instead: those sequences by their number of
+    operations, which shuffle with the other components' by
+    counting._shuffle.
     """
-    dag = space.dag(kind.singleton_only, cap)
-    leaves = dag.leaf_positions()
-    if kind.family == "ur":
-        share = Fraction(1, len(leaves))
-        return {dag.masks[i]: share for i in leaves}
-    us = kind.family == "us"
+
+    span: int  # the component's facts
+    masks: list[int]
+    weights: list
+    total: object  # the weights' sum; for length tables, their sum by length
+
+
+def _forward(dag: _Dag, us: bool, shift: int = 0) -> list:
+    """The weight that reaches each residual from the full database along
+    the DAG's edges: the number of paths (us) or the walk's probability
+    (uo). With shift > 0 a path count is kept by length, the count of
+    paths with l operations in bits [l*shift, (l+1)*shift); each edge
+    moves it up one slot, and no slot carries as long as it stays below
+    2^shift."""
     weight: list = [0] * len(dag.masks)
     weight[dag.root] = 1 if us else Fraction(1)
     for i in reversed(range(len(dag.masks))):
         children = dag.children(i)
         if children:
-            w = weight[i] if us else weight[i] / len(children)
+            w = weight[i] << shift if us else weight[i] / len(children)
             for c in children:
                 weight[c] += w
-    total = dag.leaves[dag.root] if us else 1
-    return {dag.masks[i]: Fraction(weight[i], total) for i in leaves}
+    return weight
+
+
+def _slots(packed: int, shift: int) -> list[int]:
+    """The length table kept in a packed count (see _forward)."""
+    low = (1 << shift) - 1
+    out = []
+    while packed:
+        out.append(packed & low)
+        packed >>= shift
+    return out
+
+
+def _table(comp: _Component, dag: _Dag, family: str, single: bool) -> _Table:
+    leaves = dag.leaf_positions()
+    facts = comp.facts
+
+    def lift(mask: int) -> int:
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= 1 << facts[low.bit_length() - 1]
+            mask ^= low
+        return out
+
+    # a single component's facts are the _Space's, in the same order
+    masks = [dag.masks[i] for i in leaves]
+    if not single:
+        masks = [lift(m) for m in masks]
+    span = lift(comp.full_mask)
+    if family == "ur":
+        return _Table(span, masks, [1] * len(leaves), len(leaves))
+    if family == "us":
+        if single:
+            weight = _forward(dag, True)
+            return _Table(span, masks, [weight[i] for i in leaves], dag.leaves[dag.root])
+        # a slot counts paths that extend to distinct complete sequences
+        shift = dag.leaves[dag.root].bit_length()
+        weight = _forward(dag, True, shift)
+        packed = [weight[i] for i in leaves]
+        return _Table(
+            span, masks, [_slots(w, shift) for w in packed], _slots(sum(packed), shift)
+        )
+    weight = _forward(dag, False)
+    return _Table(span, masks, [weight[i] for i in leaves], 1)
+
+
+def _tables(space: _Space, kind: GeneratorKind, cap: int) -> list[_Table]:
+    """One table per connected component of the conflict graph.
+
+    Fails exactly when the instance has more than cap residuals, the
+    product of its components' counts: up front when a matching proves
+    it, during a component's walk once that component alone passes the
+    cap, and otherwise on the product.
+    """
+    _check_caps(3**space.matching, 0, cap, None)
+    comps, _ = space.components()
+    dags = [comp.dag(kind.singleton_only, cap) for comp in comps]
+    _check_caps(prod(len(dag.masks) for dag in dags), 0, cap, None)
+    single = len(comps) == 1
+    return [_table(comp, dag, kind.family, single) for comp, dag in zip(comps, dags)]
+
+
+def _law(tables: list[_Table]):
+    """How the weights of separate components combine, the unit of that
+    combination, and the number a combined weight stands for: a product,
+    or for length tables a shuffle read as its sum over lengths."""
+    if tables and isinstance(tables[0].total, list):
+        return _shuffle, [1], sum
+    return mul, 1, _same
+
+
+def _same(x):
+    return x
+
+
+def _probability(tables: list[_Table], masks: tuple[int, ...]) -> Fraction:
+    """Probability that a repair keeps one of the witness masks.
+
+    Only the components a mask touches are enumerated, depth first over
+    their leaves. Untouched ones cancel under a product law and fold into
+    one length table under the shuffle. A prefix that keeps a witness
+    whole counts for all its completions at once; one that has dropped a
+    fact of every witness is cut.
+    """
+    if not masks:
+        return Fraction(0)
+    if not masks[0]:  # the smallest witness is empty: certain
+        return Fraction(1)
+    combine, unit, value = _law(tables)
+    touched, start = [], unit
+    for t in tables:
+        if any(m & t.span for m in masks):
+            touched.append(t)
+        elif combine is _shuffle:
+            start = combine(start, t.total)
+    # Witness i is bit i of a set. kills[d][k]: the witnesses that leaf k
+    # of touched[d] drops a fact of; ends[d]: those whose last touched
+    # component is touched[d]; rest[d]: the totals of touched[d:] combined.
+    kills = [
+        [sum(1 << i for i, x in enumerate(masks) if x & t.span & ~m) for m in t.masks]
+        for t in touched
+    ]
+    ends = [0] * len(touched)
+    for i, x in enumerate(masks):
+        ends[max(d for d, t in enumerate(touched) if x & t.span)] |= 1 << i
+    rest = [unit]
+    for t in reversed(touched):
+        rest.append(combine(t.total, rest[-1]))
+    rest.reverse()
+    numerator = 0
+    stack = [(0, start, (1 << len(masks)) - 1)]
+    while stack:
+        d, partial, alive = stack.pop()
+        for kill, w in zip(kills[d], touched[d].weights):
+            live = alive & ~kill
+            if not live:
+                continue
+            weight = w if partial is unit else combine(partial, w)
+            if live & ends[d]:  # a witness is kept whatever follows
+                after = rest[d + 1]
+                numerator += value(weight if after is unit else combine(weight, after))
+            else:
+                stack.append((d + 1, weight, live))
+    return Fraction(numerator, value(combine(start, rest[0])))
 
 
 def repair_distribution(
@@ -822,16 +965,25 @@ def repair_distribution(
     kind: GeneratorKind,
     cap: int = DEFAULT_TREE_CAP,
 ) -> RepairDistribution:
-    """Exact distribution over candidate repairs for one generator,
-    computed on the subset graph; agrees with the materialized chain
+    """Exact distribution over candidate repairs for one generator: the
+    joint leaves of the per-component tables, each repair's weight the
+    combination of its parts'; agrees with the materialized chain
     (cross-checked in tests)."""
     space = _space(db, frozenset(sigma))
-    return RepairDistribution(
-        {
-            space.database_of(m): p
-            for m, p in _mask_distribution(space, kind, cap).items()
-        }
-    )
+    tables = _tables(space, kind, cap)
+    combine, unit, value = _law(tables)
+    total = unit
+    for t in tables:
+        total = combine(total, t.total)
+    total = value(total)
+    probs: dict[Database, Fraction] = {}
+    for parts in product(*(zip(t.masks, t.weights) for t in tables)):
+        joint, weight = 0, unit
+        for m, w in parts:
+            joint |= m
+            weight = combine(weight, w)
+        probs[space.database_of(joint)] = Fraction(value(weight), total)
+    return RepairDistribution(probs)
 
 
 def answer_probabilities(
@@ -846,11 +998,12 @@ def answer_probabilities(
     returns each answer tuple: the given tuples, or every tuple that has
     a witness in the database (any other tuple has probability 0).
 
-    The query is evaluated once, on the full database; each repair is
-    then tested by a subset check of the answer's witness masks.
+    The query is evaluated once, on the full database; an answer's
+    probability is then summed over the joint leaves of the components
+    its witness masks touch (see _probability).
     """
     space = _space(db, frozenset(sigma))
-    dist = _mask_distribution(space, kind, cap)
+    tables = _tables(space, kind, cap)
     if answers is None:
         found = space.answer_masks(q)
     else:
@@ -858,12 +1011,7 @@ def answer_probabilities(
         for c in map(tuple, answers):
             found.update(space.answer_masks(q, c))
             found.setdefault(c, ())
-    return {
-        c: sum(
-            (p for m, p in dist.items() if mask_entails(masks, m)), Fraction(0)
-        )
-        for c, masks in found.items()
-    }
+    return {c: _probability(tables, masks) for c, masks in found.items()}
 
 
 def exact_answer_probability(

@@ -175,7 +175,7 @@ def sample_repair_uniform(
         choice = rng.randbelow(m if singleton_only else m + 1)
         if choice < m:
             kept.add(facts[choice])
-    return db.restrict(kept)
+    return db._subset(frozenset(kept))
 
 
 @lru_cache(maxsize=4096)
@@ -299,11 +299,14 @@ def sample_sequence_uo(
     return RepairingSequence(tuple(space.operation_of(idx) for idx in path))
 
 
+_primary_keys = lru_cache(maxsize=256)(is_primary_keys)
+
+
 def _require_sampler(
     db: Database, sigma: frozenset[FunctionalDependency], kind: GeneratorKind
 ) -> None:
     """Raise unless the generator kind has a sampler for these FDs."""
-    if kind.family in ("ur", "us") and not is_primary_keys(sigma, db.schema):
+    if kind.family in ("ur", "us") and not _primary_keys(sigma, db.schema):
         raise UnsupportedCombinationError(
             f"no {kind.label} sampler beyond primary keys; uo/uo1 work for any FDs"
         )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -15,22 +16,30 @@ from opcqa import (
     UR1,
     US,
     US1,
+    Atom,
+    ConjunctiveQuery,
+    Constant,
     Database,
     GeneratorKind,
     Operation,
     RepairingSequence,
     SizeCapError,
+    UndirectedGraph,
+    Variable,
     build_chain,
     candidate_repairs,
     canonical_sequences,
     enumerate_sequences,
     exact_answer_probability,
     fact,
+    gen_hcoloring_instance,
     justified_ops,
     realize_repair,
     repair_distribution,
     sequence_count,
 )
+
+from opcqa.repairs import DEFAULT_TREE_CAP
 
 from bruteforce import (
     WIDE_FDS,
@@ -231,6 +240,115 @@ def test_ladder_over_the_cap_fails_before_walking():
         for singleton_only in (False, True):
             with pytest.raises(SizeCapError):
                 count(db, KEYED_FDS, singleton_only=singleton_only)
+
+
+def test_exact_cap_counts_the_whole_instance():
+    """Exact probabilities walk one DAG per conflict component, yet fail
+    exactly when the whole instance has more residuals than the cap: the
+    keyed instance's blocks of 3 and 2 facts each have fewer than its 8 x
+    4 residuals (pairs) or 7 x 3 (singletons)."""
+    from opcqa.repairs import _space
+
+    db, sigma = keyed_instance()
+    q = keyed_query()
+    for kind in GENERATORS.values():
+        states = len(_space(db, sigma).dag(kind.singleton_only, DEFAULT_TREE_CAP).masks)
+        assert states == (21 if kind.singleton_only else 32)
+        for call in (
+            lambda cap: exact_answer_probability(db, sigma, kind, q, ("b1",), cap=cap),
+            lambda cap: repair_distribution(db, sigma, kind, cap=cap),
+        ):
+            call(states)
+            with pytest.raises(SizeCapError):
+                call(states - 1)
+
+
+def _size3_ladder(blocks: int) -> Database:
+    return Database.of(
+        PAIR_SCHEMA, [fact("R", f"k{j}", f"v{i}") for j in range(blocks) for i in range(3)]
+    )
+
+
+def _shuffle_total(tables: list[list[int]]) -> int:
+    """Complete sequences of independent parts, from each part's counts by
+    length: sum_L L! [x^L] prod_i sum_l t_i[l] x^l / l!."""
+    poly = [Fraction(1)]
+    for t in tables:
+        out = [Fraction(0)] * (len(poly) + len(t) - 1)
+        for i, a in enumerate(poly):
+            for l, b in enumerate(t):
+                out[i + l] += a * Fraction(b, factorial(l))
+        poly = out
+    total = sum(c * factorial(L) for L, c in enumerate(poly))
+    assert total.denominator == 1
+    return int(total)
+
+
+# A block of three facts: 3 one-operation sequences (a pair removal) and
+# 9 of two; 1 and 2 of them keep a given fact.
+BLOCK3 = [0, 3, 9]
+BLOCK3_KEEPS_ONE = [0, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "blocks, cap",
+    [(5, DEFAULT_TREE_CAP), (7, DEFAULT_TREE_CAP), (100, 10**100)],
+    ids=["5-blocks", "7-blocks", "100-blocks-cap-raised"],
+)
+def test_ladder_query_on_one_block(blocks, cap):
+    """Q(x) :- R(k0, x) on ladders of size-3 blocks touches block k0 only:
+    v0 has the same probability at every ladder length under ur, uo and
+    the singleton generators, and under us the shuffle of block k0's
+    sequences keeping v0 with every other block's. With the cap raised
+    the 100-block ladder is answered although the instance has 4^100
+    residuals."""
+    db = _size3_ladder(blocks)
+    q = ConjunctiveQuery((Atom("R", (Constant("k0"), Variable("x"))),), (Variable("x"),))
+    got = {
+        label: exact_answer_probability(db, KEYED_FDS, kind, q, ("v0",), cap=cap)
+        for label, kind in GENERATORS.items()
+    }
+    us = Fraction(
+        _shuffle_total([BLOCK3_KEEPS_ONE] + [BLOCK3] * (blocks - 1)),
+        _shuffle_total([BLOCK3] * blocks),
+    )
+    assert got == {
+        "ur": Fraction(1, 4),
+        "uo": Fraction(5, 18),
+        "us": us,
+        "ur1": Fraction(1, 3),
+        "us1": Fraction(1, 3),
+        "uo1": Fraction(1, 3),
+    }
+    if blocks == 5:
+        assert us == Fraction(219157, 955533)  # the single whole-instance DAG's value
+
+
+def test_answering_many_instances_holds_little_memory():
+    """Exact answers for all six generators on 100 distinct 8-node
+    coloring instances leave little memory held once they return: what
+    stays cached per instance is its component DAGs, not a residual DAG
+    of the whole instance (about 12 MB each at 8 nodes)."""
+    import gc
+    import tracemalloc
+    from itertools import combinations
+
+    rng = random.Random(1909)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for n in range(100):
+            nodes = [f"i{n}n{i}" for i in range(8)]
+            edges = rng.sample(list(combinations(nodes, 2)), 6)
+            db, sigma, q = gen_hcoloring_instance(UndirectedGraph.of(nodes, edges))
+            for kind in GENERATORS.values():
+                exact_answer_probability(db, sigma, kind, q)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 32 * 2**20, f"{held / 2**20:.1f} MB held"
 
 
 # ---------------------------------------------------------------------------
