@@ -52,9 +52,9 @@ from .relational import Database, FunctionalDependency, Schema, fact, is_primary
 from .repairs import (
     DEFAULT_TREE_CAP,
     GENERATORS,
+    _candidate_count,
     answer_probabilities,
     build_chain,
-    candidate_repairs,
     canonical_sequences,
     sequence_count,
 )
@@ -290,13 +290,13 @@ def cmd_count(args, out) -> int:
         value = (
             count_candidate_repairs(db, sigma)
             if primary
-            else len(candidate_repairs(db, sigma, cap=args.cap))
+            else _candidate_count(db, sigma, cap=args.cap)
         )
     elif args.what == "repairs1":
         value = (
             count_candidate_repairs_singleton(db, sigma)
             if primary
-            else len(candidate_repairs(db, sigma, singleton_only=True, cap=args.cap))
+            else _candidate_count(db, sigma, singleton_only=True, cap=args.cap)
         )
     elif args.what == "sequences":
         value = (

@@ -104,9 +104,11 @@ class EstimatorConfig:
 
 @dataclass(frozen=True)
 class Estimate:
-    """Estimator result. flagged_zero marks the two outcomes that carry
-    no relative guarantee: an all-zero multiplicative run, or an adaptive
-    run cut off by max_samples before reaching its success quota."""
+    """Estimator result. flagged_zero marks the outcomes that carry no
+    relative guarantee: an all-zero multiplicative run, or an adaptive
+    run cut off by max_samples before reaching its success quota; and
+    the exact 0 an adaptive run returns, without drawing, for a tuple
+    that has no witness in the database."""
 
     value: Fraction
     samples_used: int
@@ -253,6 +255,7 @@ class _ScalarStream:
     def __init__(self, db, sigma, kind, q, answer):
         self._args = (db, sigma, kind)
         self._witnesses = witnesses(q, db, answer).get(answer, ())
+        self.witnessed = bool(self._witnesses)
 
     def batch(self, seed: int, base: int, count: int) -> np.ndarray:
         db, sigma, kind = self._args
@@ -334,7 +337,9 @@ class _UoWalkStream:
         self._always = False
         self._single: dict[int, np.ndarray] = {}
         self._joint: list[list[tuple[int, np.ndarray]]] = []
-        for w in space.answer_masks(q, answer).get(answer, ()):
+        found = space.answer_masks(q, answer).get(answer, ())
+        self.witnessed = bool(found)
+        for w in found:
             parts: dict[int, int] = {}
             while w:
                 low = w & -w
@@ -420,7 +425,9 @@ class _UrBlockStream:
         # across blocks as (block, choice) pairs
         self._single: dict[int, np.ndarray] = {}
         self._joint: list[list[tuple[int, int]]] = []
-        for w in witness_masks(witnesses(q, db, answer).get(answer, ()), bit):
+        found = witnesses(q, db, answer).get(answer, ())
+        self.witnessed = bool(found)
+        for w in witness_masks(found, bit):
             parts = [where[j] for j in range(w.bit_length()) if w >> j & 1]
             if not parts:
                 self._always = True
@@ -587,11 +594,15 @@ def estimate_adaptive(
     return T / (draws through the T-th success). Batching is internal
     bookkeeping; the stopping trial is a pure function of the seed.
 
-    Hitting max_samples first yields the flagged plain mean instead.
+    Hitting max_samples first yields the flagged plain mean instead. A
+    tuple without a witness in the database holds in no repair: it gets
+    a flagged 0 without any draw.
     """
     rng = rng if rng is not None else RandomSource(0)
     quota = adaptive_success_quota(config.epsilon, config.delta)
     stream = _indicator_stream(db, sigma, kind, q, c)
+    if not stream.witnessed:
+        return Estimate(Fraction(0), 0, "adaptive", flagged_zero=True)
     hits = 0
     drawn = 0
     batch = quota  # fewer draws cannot meet the quota

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import prod
+from math import lcm, prod
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple
 
@@ -140,19 +140,17 @@ class RepairingSequence:
         final residual is consistent, unless told otherwise).
 
         A pair violates an FD whatever else is present, so the check runs
-        on the bitmask view: a step is justified when it lies inside a
-        conflicting pair that is still wholly present.
+        on the bitmask view: a step is justified when it is one of the
+        justified operations of the residual mask it applies to.
         """
         space = _space(db, frozenset(sigma))
         mask = space.full_mask
         for pos, op in enumerate(self.ops):
             om = space.mask_of(op.removed)
-            if om is None or not any(
-                em & mask == em and om & em == om for em in space.edge_masks
-            ):
+            if om is None or om not in space.justified(mask, False):
                 raise ValueError(f"operation {op} at position {pos} is not justified")
-            mask &= ~om
-        if require_complete and any(em & mask == em for em in space.edge_masks):
+            mask ^= om
+        if require_complete and space.justified(mask, True):
             raise ValueError("sequence is not complete: residual still violates the FDs")
 
     def __str__(self) -> str:
@@ -250,6 +248,13 @@ class _Conflicts:
         self.full_mask = (1 << n) - 1
         self.edges = edges
         self.edge_masks: tuple[int, ...] = tuple((1 << i) | (1 << j) for i, j in edges)
+        # nbr[i]: the facts conflicting with fact i; later[i]: those after it
+        self.nbr = [0] * n
+        self.later = [0] * n
+        for (i, j), em in zip(edges, self.edge_masks):
+            self.nbr[i] |= 1 << j
+            self.nbr[j] |= 1 << i
+            self.later[i] |= 1 << j
         # the residual DAG of each mode, indexed by singleton_only
         self._dags: list[_Dag | None] = [None, None]
         # A greedy matching of mu conflicting pairs gives at least 3^mu
@@ -262,19 +267,27 @@ class _Conflicts:
                 covered |= em
                 self.matching += 1
 
-    def _justified(
-        self, mask: int, singleton_only: bool
-    ) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """Justified operations of a residual, as (index tuple, op mask)
-        pairs in canonical order."""
-        found: dict[tuple[int, ...], int] = {}
-        for (i, j), em in zip(self.edges, self.edge_masks):
-            if em & mask == em:
-                found[(i,)] = 1 << i
-                found[(j,)] = 1 << j
+    def justified(self, mask: int, singleton_only: bool) -> list[int]:
+        """Masks of the justified operations of a residual, in canonical
+        order: for each fact i present and in a conflict that is still
+        present, -i, then -{i,j} for each present j > i it conflicts
+        with."""
+        nbr, later = self.nbr, self.later
+        out: list[int] = []
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
+            if nbr[i] & mask:
+                out.append(low)
                 if not singleton_only:
-                    found[(i, j)] = em
-        return tuple(sorted(found.items()))
+                    pairs = later[i] & mask
+                    while pairs:
+                        high = pairs & -pairs
+                        pairs ^= high
+                        out.append(low | high)
+        return out
 
     def dag(self, singleton_only: bool, cap: int, tree_cap: int | None = None) -> _Dag:
         """The residual DAG of a mode, built once and cached.
@@ -302,7 +315,7 @@ class _Conflicts:
         nodes: list[int] = []
 
         def frame(mask: int):
-            children = [mask & ~om for _, om in self._justified(mask, singleton_only)]
+            children = [mask ^ om for om in self.justified(mask, singleton_only)]
             return mask, children, iter(children)
 
         stack = [frame(self.full_mask)]
@@ -314,13 +327,13 @@ class _Conflicts:
                     break
             else:
                 stack.pop()
-                pos = [index[c] for c in children]
+                pos = list(map(index.__getitem__, children))
                 index[mask] = len(masks)
                 masks.append(mask)
                 kids.extend(pos)
                 starts.append(len(kids))
-                leaves.append(sum(leaves[p] for p in pos) or 1)
-                nodes.append(1 + sum(nodes[p] for p in pos))
+                leaves.append(sum(map(leaves.__getitem__, pos)) or 1)
+                nodes.append(1 + sum(map(nodes.__getitem__, pos)))
                 # the whole tree contains this residual's subtree
                 _check_caps(len(masks), nodes[-1], cap, tree_cap)
         return _Dag(masks, starts, kids, leaves, nodes)
@@ -353,11 +366,13 @@ class _Component(_Conflicts):
         super().__init__(len(facts), edges)
         self.facts = facts
         self.run_starts = run_starts
-        # one (_Space index tuple, local op mask) entry per operation, so
-        # that the tables below share entries instead of holding copies
-        self._entries = {(i,): ((g,), 1 << i) for i, g in enumerate(facts)}
+        # one (_Space index tuple, local op mask) entry per operation, keyed
+        # by its mask, so that the tables below share entries instead of
+        # holding copies
+        self._entries = {1 << i: ((g,), 1 << i) for i, g in enumerate(facts)}
         for (i, j), em in zip(edges, self.edge_masks):
-            self._entries[(i, j)] = ((facts[i], facts[j]), em)
+            self._entries[em] = ((facts[i], facts[j]), em)
+        self._run_bits = tuple(1 << s for s in run_starts)
         # filled only when n <= _OPS_TABLE_LIMIT
         self._tables: tuple[dict, dict] = ({}, {})
 
@@ -368,14 +383,15 @@ class _Component(_Conflicts):
         (_Space index tuple, local op mask) pairs, and the offsets of its
         runs: the position of each run's first operation in that list,
         then the list's length. Kept in a table for small components,
-        recomputed from the component's own edges for larger ones."""
+        recomputed for larger ones."""
         table = self._tables[singleton_only]
         hit = table.get(mask)
         if hit is None:
-            found = self._justified(mask, singleton_only)
-            firsts = [idx[0] for idx, _ in found]
-            offsets = tuple(bisect_left(firsts, s) for s in self.run_starts)
-            hit = (tuple(self._entries[idx] for idx, _ in found), offsets + (len(found),))
+            found = self.justified(mask, singleton_only)
+            # an operation's lowest bit is its first fact
+            firsts = [om & -om for om in found]
+            offsets = tuple(bisect_left(firsts, b) for b in self._run_bits)
+            hit = (tuple(map(self._entries.__getitem__, found)), offsets + (len(found),))
             if self.n <= _OPS_TABLE_LIMIT:
                 table[mask] = hit
         return hit
@@ -575,6 +591,18 @@ def candidate_repairs(
     space = _space(db, frozenset(sigma))
     dag = space.dag(singleton_only, cap)
     return {space.database_of(dag.masks[i]) for i in dag.leaf_positions()}
+
+
+def _candidate_count(
+    db: Database,
+    sigma: Iterable[FunctionalDependency],
+    singleton_only: bool = False,
+    cap: int = DEFAULT_TREE_CAP,
+) -> int:
+    """len(candidate_repairs(...)) under the same cap, without building a
+    Database per repair: the leaves of the residual DAG."""
+    space = _space(db, frozenset(sigma))
+    return len(space.dag(singleton_only, cap).leaf_positions())
 
 
 def sequence_count(
@@ -804,11 +832,11 @@ class _Table(NamedTuple):
     generator, as masks over the _Space's facts with one weight each;
     within its component a repair has probability weight / total.
 
-    Weights are 1 (ur), the walk's probability (uo) or the number of
-    complete sequences ending there (us). With several components a us
-    weight is a length table instead: those sequences by their number of
-    operations, which shuffle with the other components' by
-    counting._shuffle.
+    Weights are 1 (ur), the walk's probability times L^n (uo, see
+    _walk_weights) or the number of complete sequences ending there (us).
+    With several components a us weight is a length table instead: those
+    sequences by their number of operations, which shuffle with the other
+    components' by counting._shuffle.
     """
 
     span: int  # the component's facts
@@ -817,22 +845,50 @@ class _Table(NamedTuple):
     total: object  # the weights' sum; for length tables, their sum by length
 
 
-def _forward(dag: _Dag, us: bool, shift: int = 0) -> list:
-    """The weight that reaches each residual from the full database along
-    the DAG's edges: the number of paths (us) or the walk's probability
-    (uo). With shift > 0 a path count is kept by length, the count of
-    paths with l operations in bits [l*shift, (l+1)*shift); each edge
-    moves it up one slot, and no slot carries as long as it stays below
-    2^shift."""
-    weight: list = [0] * len(dag.masks)
-    weight[dag.root] = 1 if us else Fraction(1)
+def _forward(dag: _Dag, shift: int = 0) -> list[int]:
+    """The number of paths that reach each residual from the full
+    database along the DAG's edges. With shift > 0 a count is kept by
+    length, the count of paths with l operations in bits
+    [l*shift, (l+1)*shift); each edge moves it up one slot, and no slot
+    carries as long as it stays below 2^shift."""
+    starts, kids = dag.starts, dag.kids
+    weight = [0] * len(dag.masks)
+    weight[dag.root] = 1
     for i in reversed(range(len(dag.masks))):
-        children = dag.children(i)
-        if children:
-            w = weight[i] << shift if us else weight[i] / len(children)
-            for c in children:
+        a, b = starts[i], starts[i + 1]
+        if a < b:
+            w = weight[i] << shift
+            for c in kids[a:b]:
                 weight[c] += w
     return weight
+
+
+def _walk_weights(dag: _Dag) -> tuple[list[int], int]:
+    """The uniform-operations walk's probability of reaching each
+    residual in integers, and L, the lcm of the out-degrees.
+
+    Residual i carries p_i L^r, r the facts it has lost: an edge out of a
+    residual of degree d that removes s facts passes on its weight times
+    L^s / d, an integer since d divides L. Of n facts, a residual that
+    keeps k is thus over L^(n-k), and its weight times L^k is over L^n.
+    """
+    starts, kids, masks = dag.starts, dag.kids, dag.masks
+    big = lcm(*{b - a for a, b in zip(starts, starts[1:]) if b > a})
+    steps = {}  # degree -> (L / degree, L^2 / degree)
+    weight = [0] * len(masks)
+    weight[dag.root] = 1
+    for i in reversed(range(len(masks))):
+        a, b = starts[i], starts[i + 1]
+        if a < b:
+            step = steps.get(b - a)
+            if step is None:
+                step = steps[b - a] = (big // (b - a), big * big // (b - a))
+            w, mask = weight[i], masks[i]
+            one, two = w * step[0], w * step[1]
+            for c in kids[a:b]:
+                removed = mask ^ masks[c]
+                weight[c] += two if removed & (removed - 1) else one
+    return weight, big
 
 
 def _slots(packed: int, shift: int) -> list[int]:
@@ -866,17 +922,23 @@ def _table(comp: _Component, dag: _Dag, family: str, single: bool) -> _Table:
         return _Table(span, masks, [1] * len(leaves), len(leaves))
     if family == "us":
         if single:
-            weight = _forward(dag, True)
+            weight = _forward(dag)
             return _Table(span, masks, [weight[i] for i in leaves], dag.leaves[dag.root])
         # a slot counts paths that extend to distinct complete sequences
         shift = dag.leaves[dag.root].bit_length()
-        weight = _forward(dag, True, shift)
+        weight = _forward(dag, shift)
         packed = [weight[i] for i in leaves]
         return _Table(
             span, masks, [_slots(w, shift) for w in packed], _slots(sum(packed), shift)
         )
-    weight = _forward(dag, False)
-    return _Table(span, masks, [weight[i] for i in leaves], 1)
+    weight, big = _walk_weights(dag)
+    powers = [big**k for k in range(comp.n + 1)]
+    return _Table(
+        span,
+        masks,
+        [weight[i] * powers[dag.masks[i].bit_count()] for i in leaves],
+        powers[comp.n],
+    )
 
 
 def _tables(space: _Space, kind: GeneratorKind, cap: int) -> list[_Table]:

@@ -160,6 +160,21 @@ def bf_uo_probability(db: Database, sigma, q, answer=(), singleton_only=False) -
     return walk(db.facts)
 
 
+def uo_forward_reference(masks, starts, kids) -> list[Fraction]:
+    """The uniform-operations walk's probability of reaching each residual
+    of a residual DAG, by a plain Fraction forward pass: residuals listed
+    children first (the root last), residual i's children at
+    kids[starts[i]:starts[i + 1]]. The DAG's arrays are the one input
+    taken from the package; the pass shares none of its arithmetic."""
+    weight = [Fraction(0)] * len(masks)
+    weight[-1] = Fraction(1)
+    for i in reversed(range(len(masks))):
+        children = kids[starts[i] : starts[i + 1]]
+        for c in children:
+            weight[c] += weight[i] / len(children)
+    return weight
+
+
 def bf_independent_sets(nodes, edges) -> list[frozenset]:
     """All independent sets of a graph, the empty set included."""
     out = []

@@ -312,6 +312,24 @@ def test_approx_adaptive_run(files, capsys):
     assert abs(record["probability"]["float"] - 0.25) <= 0.25 * 0.05
 
 
+@pytest.mark.parametrize("generator", ["ur", "us", "uo"])
+def test_approx_adaptive_tuple_without_witness_draws_nothing(files, capsys, generator):
+    # no fact R(a1, zz): the tuple holds in no repair, and the adaptive
+    # run says so without spending its 10^7-sample budget
+    inst = files("keyed.json", KEYED_DOC)
+    query = files("q.json", OPEN_QUERY_DOC)
+    code, records, _ = run(
+        capsys, "approx", inst, query, "--generator", generator,
+        "--eps", "0.2", "--delta", "0.2", "--tuple", "zz",
+    )
+    assert code == 0
+    (record,) = records
+    assert record["mode"] == "adaptive"
+    assert record["samples_used"] == 0
+    assert record["probability"]["rational"] == "0/1"
+    assert record["flagged_zero"] is True
+
+
 def test_approx_determinism(files, capsys):
     inst = files("keyed.json", KEYED_DOC)
     query = files("q.json", OPEN_QUERY_DOC)

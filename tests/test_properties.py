@@ -4,11 +4,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from opcqa import (
     GENERATORS,
     UO,
+    UO1,
     UR,
     US,
     Database,
@@ -26,8 +27,17 @@ from opcqa import (
     sequence_count,
     sequence_count_for_profile,
 )
+from opcqa.instances import gen_fd_star
+from opcqa.repairs import DEFAULT_TREE_CAP, _op_indices, _space
 
-from bruteforce import SWEEP_KEY, SWEEP_SCHEMA, WIDE_FDS, WIDE_SCHEMA
+from bruteforce import (
+    SWEEP_KEY,
+    SWEEP_SCHEMA,
+    SWEEP_TWO_KEYS,
+    WIDE_FDS,
+    WIDE_SCHEMA,
+    uo_forward_reference,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +67,25 @@ def wide_db_of(rows) -> Database:
         WIDE_SCHEMA, {fact("R", f"a{a}", f"b{b}", f"c{c}") for a, b, c in rows}
     )
 
+
+chain_steps = st.lists(st.tuples(st.integers(0, 7), st.booleans()), min_size=1, max_size=7)
+
+
+def chain_db_of(steps) -> Database:
+    """Rows under the two keys A1 -> A2 and A2 -> A1, each sharing one
+    side with an earlier row and a fresh value on the other: one
+    component of key cliques, not necessarily a clique itself."""
+    rows = [("x0", "y0")]
+    for i, (pick, same_x) in enumerate(steps, 1):
+        x, y = rows[pick % len(rows)]
+        rows.append((x, f"y{i}") if same_x else (f"x{i}", y))
+    return Database.of(SWEEP_SCHEMA, [fact("R", *row) for row in rows])
+
+
+fd_instances = st.one_of(
+    wide_rows.map(lambda rows: (wide_db_of(rows), WIDE_FDS)),
+    chain_steps.map(lambda steps: (chain_db_of(steps), SWEEP_TWO_KEYS)),
+)
 
 kinds = st.sampled_from(sorted(GENERATORS.values(), key=lambda k: k.label))
 
@@ -137,6 +166,67 @@ def test_chain_agrees_with_closed_form(sizes, kind):
     assert from_chain == direct
     # leaf probabilities form a measure as well
     assert sum(p for _, p, _ in chain.leaves()) == 1
+
+
+# two components whose facts interleave in canonical order, two runs each
+INTERLEAVED = (wide_db_of([(0, 0, 0), (0, 0, 1), (1, 1, 0), (2, 1, 1)]), WIDE_FDS)
+
+
+@given(fd_instances, st.booleans())
+@example(INTERLEAVED, False)
+@example(INTERLEAVED, True)
+@settings(max_examples=60, deadline=None)
+def test_dag_children_are_the_justified_operations(instance, singleton_only):
+    db, sigma = instance
+    space = _space(db, sigma)
+    dag = space.dag(singleton_only, DEFAULT_TREE_CAP)
+    for i, mask in enumerate(dag.masks):
+        ops = [space.operation_of(_op_indices(mask ^ dag.masks[c])) for c in dag.children(i)]
+        assert ops == justified_ops(space.database_of(mask), sigma, singleton_only)
+    # per component, with the others whole: the operations tables merged
+    # by _Space.select list the joint residual's operations in order
+    comps, _ = space.components()
+    whole = [comp.ops(comp.full_mask, singleton_only) for comp in comps]
+    for c, comp in enumerate(comps):
+        for local in comp.dag(singleton_only, DEFAULT_TREE_CAP).masks:
+            tables = list(whole)
+            tables[c] = comp.ops(local, singleton_only)
+            offsets = [off for _, off in tables]
+            picked = [
+                tables[d][0][k][0]
+                for d, k in (space.select(offsets, r) for r in range(sum(o[-1] for o in offsets)))
+            ]
+            gone = sum(1 << g for k, g in enumerate(comp.facts) if not local >> k & 1)
+            joint = space.database_of(space.full_mask & ~gone)
+            assert list(map(space.operation_of, picked)) == justified_ops(
+                joint, sigma, singleton_only
+            )
+
+
+def assert_uo_matches_reference(db, sigma, singleton_only: bool) -> None:
+    """repair_distribution for uo/uo1 against a Fraction forward pass over
+    the whole instance's residual DAG."""
+    space = _space(db, frozenset(sigma))
+    dag = space.dag(singleton_only, DEFAULT_TREE_CAP)
+    weight = uo_forward_reference(dag.masks, dag.starts, dag.kids)
+    expected = {space.database_of(dag.masks[i]).facts: weight[i] for i in dag.leaf_positions()}
+    dist = repair_distribution(db, sigma, UO1 if singleton_only else UO)
+    assert {r.facts: p for r, p in dist.items()} == expected
+
+
+@given(fd_instances, st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_uo_distribution_matches_reference_forward_pass(instance, singleton_only):
+    assert_uo_matches_reference(*instance, singleton_only)
+
+
+def test_uo_distribution_with_a_large_degree_lcm():
+    # out-degrees 1, 3, ..., 15 (uo) and 1, ..., 8 (uo1) on the star; 3, 6,
+    # ..., 28 (uo) and 2, ..., 7 (uo1) on the 7-fact block
+    star, star_fds, _ = gen_fd_star(8)
+    for singleton_only in (False, True):
+        assert_uo_matches_reference(star, star_fds, singleton_only)
+        assert_uo_matches_reference(keyed_db_of([7]), SWEEP_KEY, singleton_only)
 
 
 @given(block_profiles)

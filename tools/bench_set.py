@@ -7,13 +7,14 @@ For every workload and seed, each side runs
 ``python3 bench/run.py --workload W --seed S --seconds T --trace 0`` in its
 own checkout, with T the ``run_seconds`` of that checkout's
 BENCHMARK.json, under a timeout of TIMEOUT_S; which side goes first
-alternates from one seed to the next. Every run is kept with its run
-length, wall time, exit status and result line. An existing output file
-is extended, not replaced, so sets run at different times add up. The
-summary gives, per workload and side, the wall time of the runs, how
-many were not correct or had a failed request, and for each end-to-end
-metric the median and quartiles over the other runs; and how many pairs
-the second side won (ties count for neither side).
+alternates from one seed to the next. Every run is kept with its side's
+commit (and ``"dirty": true`` when that checkout has uncommitted
+changes), run length, wall time, exit status and result line. An
+existing output file is extended, not replaced, so sets run at different
+times add up. The summary gives, per workload and side, the wall time of
+the runs, how many were not correct or had a failed request, and for each
+end-to-end metric the median and quartiles over the other runs; and how
+many pairs the second side won (ties count for neither side).
 
 Uses the standard library only.
 """
@@ -58,6 +59,18 @@ def commit_of(path: Path) -> str | None:
     except (OSError, subprocess.CalledProcessError):
         return None
     return out.stdout.strip()
+
+
+def is_dirty(path: Path) -> bool | None:
+    """Whether the checkout has uncommitted changes, or None outside git."""
+    try:
+        out = subprocess.run(
+            ["git", "status", "--porcelain"], cwd=path, capture_output=True, text=True,
+            check=True
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return bool(out.stdout.strip())
 
 
 def run_seconds(path: Path) -> float:
@@ -159,6 +172,8 @@ def main() -> int:
     data["command"] = "python3 bench/run.py --seconds <BENCHMARK.json run_seconds> --trace 0"
     data["host"] = {"cpus": os.cpu_count(), "python": platform.python_version()}
     commits = {label: commit_of(path) for label, path in sides}
+    # a commit hash alone does not name a checkout with uncommitted changes
+    dirty = {label: {"dirty": True} if is_dirty(path) else {} for label, path in sides}
 
     for workload in args.workload:
         for n, seed in enumerate(parse_seeds(args.seeds)):
@@ -168,7 +183,8 @@ def main() -> int:
             for label, path in order:
                 record = run_once(path, workload, seed)
                 data["runs"].append({"workload": workload, "seed": seed, "pair": pair,
-                                     "side": label, "commit": commits[label], **record})
+                                     "side": label, "commit": commits[label],
+                                     **dirty[label], **record})
                 print(json.dumps(data["runs"][-1]), flush=True)
                 data["summary"] = summarise(data["runs"], labels)
                 args.out.write_text(json.dumps(data, indent=1) + "\n")
