@@ -248,13 +248,11 @@ class _Conflicts:
         self.full_mask = (1 << n) - 1
         self.edges = edges
         self.edge_masks: tuple[int, ...] = tuple((1 << i) | (1 << j) for i, j in edges)
-        # nbr[i]: the facts conflicting with fact i; later[i]: those after it
+        # nbr[i]: the facts conflicting with fact i
         self.nbr = [0] * n
-        self.later = [0] * n
-        for (i, j), em in zip(edges, self.edge_masks):
+        for i, j in edges:
             self.nbr[i] |= 1 << j
             self.nbr[j] |= 1 << i
-            self.later[i] |= 1 << j
         # the residual DAG of each mode, indexed by singleton_only
         self._dags: list[_Dag | None] = [None, None]
         # A greedy matching of mu conflicting pairs gives at least 3^mu
@@ -272,17 +270,17 @@ class _Conflicts:
         order: for each fact i present and in a conflict that is still
         present, -i, then -{i,j} for each present j > i it conflicts
         with."""
-        nbr, later = self.nbr, self.later
+        nbr = self.nbr
         out: list[int] = []
         rest = mask
         while rest:
             low = rest & -rest
             rest ^= low
-            i = low.bit_length() - 1
-            if nbr[i] & mask:
+            pairs = nbr[low.bit_length() - 1] & mask
+            if pairs:
                 out.append(low)
                 if not singleton_only:
-                    pairs = later[i] & mask
+                    pairs &= -(low << 1)  # the partners after this fact
                     while pairs:
                         high = pairs & -pairs
                         pairs ^= high
@@ -874,17 +872,13 @@ def _walk_weights(dag: _Dag) -> tuple[list[int], int]:
     """
     starts, kids, masks = dag.starts, dag.kids, dag.masks
     big = lcm(*{b - a for a, b in zip(starts, starts[1:]) if b > a})
-    steps = {}  # degree -> (L / degree, L^2 / degree)
     weight = [0] * len(masks)
     weight[dag.root] = 1
     for i in reversed(range(len(masks))):
         a, b = starts[i], starts[i + 1]
         if a < b:
-            step = steps.get(b - a)
-            if step is None:
-                step = steps[b - a] = (big // (b - a), big * big // (b - a))
-            w, mask = weight[i], masks[i]
-            one, two = w * step[0], w * step[1]
+            w, mask = weight[i] * (big // (b - a)), masks[i]
+            one, two = w, w * big
             for c in kids[a:b]:
                 removed = mask ^ masks[c]
                 weight[c] += two if removed & (removed - 1) else one
