@@ -285,33 +285,18 @@ def cmd_exact(args, out) -> int:
 def cmd_count(args, out) -> int:
     db, sigma = load_instance(args.instance)
     start = time.perf_counter()
-    primary = is_primary_keys(sigma, db.schema)
-    if args.what == "repairs":
-        value = (
-            count_candidate_repairs(db, sigma)
-            if primary
-            else _candidate_count(db, sigma, cap=args.cap)
-        )
-    elif args.what == "repairs1":
-        value = (
-            count_candidate_repairs_singleton(db, sigma)
-            if primary
-            else _candidate_count(db, sigma, singleton_only=True, cap=args.cap)
-        )
-    elif args.what == "sequences":
-        value = (
-            count_complete_sequences(db, sigma)
-            if primary
-            else sequence_count(db, sigma, cap=args.cap)
-        )
-    elif args.what == "sequences1":
-        value = (
-            count_complete_sequences_singleton(db, sigma)
-            if primary
-            else sequence_count(db, sigma, singleton_only=True, cap=args.cap)
-        )
-    else:
+    single = args.what.endswith("1")
+    if args.what == "canonical":
         value = len(canonical_sequences(db, sigma, cap=args.cap))
+    elif not is_primary_keys(sigma, db.schema):
+        count = _candidate_count if args.what.startswith("repairs") else sequence_count
+        value = count(db, sigma, single, cap=args.cap)
+    elif args.what.startswith("repairs"):
+        closed = count_candidate_repairs_singleton if single else count_candidate_repairs
+        value = closed(db, sigma)
+    else:
+        closed = count_complete_sequences_singleton if single else count_complete_sequences
+        value = closed(db, sigma)
     wall = time.perf_counter() - start
     _emit(_record("count", wall, what=args.what, count=str(value)), out)
     return 0
@@ -465,6 +450,14 @@ def cmd_chain_dump(args, out) -> int:
 _GENERATOR_CHOICES = sorted(GENERATORS)
 
 
+def non_negative(text: str) -> int:
+    """-n and --cap: an integer, a negative one a usage error."""
+    value = int(text)
+    if value < 0:
+        raise ParseError(f"-n and --cap take a count of at least 0, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="opcqa",
@@ -478,7 +471,7 @@ def _build_parser() -> argparse.ArgumentParser:
     exact.add_argument("--generator", required=True, choices=_GENERATOR_CHOICES)
     exact.add_argument("--tuple", default=None, help="comma-separated constants")
     exact.add_argument("--all-answers", action="store_true")
-    exact.add_argument("--cap", type=int, default=DEFAULT_TREE_CAP)
+    exact.add_argument("--cap", type=non_negative, default=DEFAULT_TREE_CAP)
     exact.set_defaults(func=cmd_exact)
 
     count = sub.add_parser("count", help="exact repair/sequence counts")
@@ -488,7 +481,7 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["repairs", "repairs1", "sequences", "sequences1", "canonical"],
     )
-    count.add_argument("--cap", type=int, default=DEFAULT_TREE_CAP)
+    count.add_argument("--cap", type=non_negative, default=DEFAULT_TREE_CAP)
     count.set_defaults(func=cmd_count)
 
     approx = sub.add_parser("approx", help="randomized probability estimate")
@@ -511,7 +504,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sample = sub.add_parser("sample", help="draw repairs/sequences as JSON lines")
     sample.add_argument("instance")
     sample.add_argument("--generator", required=True, choices=_GENERATOR_CHOICES)
-    sample.add_argument("-n", type=int, default=1)
+    sample.add_argument("-n", type=non_negative, default=1)
     sample.add_argument("--seed", type=int, default=0)
     sample.set_defaults(func=cmd_sample)
 
@@ -532,7 +525,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chain.add_argument("instance")
     chain.add_argument("--generator", required=True, choices=_GENERATOR_CHOICES)
     chain.add_argument("--ordering", default="dfs", choices=["dfs", "reversed-dfs"])
-    chain.add_argument("--cap", type=int, default=DEFAULT_TREE_CAP)
+    chain.add_argument("--cap", type=non_negative, default=DEFAULT_TREE_CAP)
     chain.add_argument("--out", default="-")
     chain.set_defaults(func=cmd_chain_dump)
 
@@ -540,8 +533,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args, sys.stdout)
     except (ParseError, SchemaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -202,14 +202,6 @@ class FunctionalDependency:
             schema.attribute_index(self.relation, a) for a in sorted(self.rhs)
         )
 
-    def violated_by(self, f: Fact, g: Fact, schema: Schema) -> bool:
-        """True iff the (unordered) pair {f, g} falsifies this FD."""
-        if f == g or f.relation != self.relation or g.relation != self.relation:
-            return False
-        if any(f.values[i] != g.values[i] for i in self.lhs_indices(schema)):
-            return False
-        return any(f.values[i] != g.values[i] for i in self.rhs_indices(schema))
-
     def __str__(self) -> str:
         lhs = ",".join(sorted(self.lhs))
         rhs = ",".join(sorted(self.rhs))

@@ -9,20 +9,22 @@ operations) only differ in the probabilities they attach to its edges.
 Exact quantities are computed on the subset graph of residual databases
 rather than the tree itself: FD violations are a property of a fact pair
 alone, so the justified operations of a residual depend only on which
-facts remain. The explicit tree is still materialized by build_chain for
-golden tests and the chain-dump command, and the two views are
-cross-checked in the test suite.
+facts remain. The connected components of the conflict graph repair
+independently, so each has its own residual DAG and none is built for
+the whole instance. The explicit tree is walked on the joint residual
+mask by enumerate_sequences, canonical_sequences and build_chain (golden
+tests and the chain-dump command).
 
-Exact probabilities are factorised over the connected components of the
-conflict graph, which repair independently: each component's residual
-DAG gives a table of its candidate repairs with one weight each, and the
-tables combine by product (uniform repairs and operations) or by the
-shuffle of sequences, an exponential generating function product over
-sequence lengths (uniform sequences). The query is evaluated once on the
+Counts and exact probabilities combine per-component tables: candidate
+repairs multiply, and complete sequences and tree nodes shuffle, an
+exponential generating function product over their counts by length.
+An answer's probability combines each component's candidate repairs
+with one weight each, by product (uniform repairs and operations) or by
+the shuffle (uniform sequences). The query is evaluated once on the
 full database; a repair returns an answer iff it keeps one of the
-answer's witness masks, so an answer's probability sums over the joint
-repairs of the components its witnesses touch only. The others cancel,
-or under uniform sequences fold into one table of counts by length.
+answer's witness masks, so the sum runs over the joint repairs of the
+components its witnesses touch only. The others cancel, or under
+uniform sequences fold into one table of counts by length.
 """
 
 from __future__ import annotations
@@ -127,9 +129,6 @@ class RepairingSequence:
     def result(self, db: Database) -> Database:
         return db._subset(db.facts - self.removed_facts)
 
-    def is_complete(self, db: Database, sigma: Iterable[FunctionalDependency]) -> bool:
-        return not violations(self.result(db), sigma)
-
     def validate(
         self,
         db: Database,
@@ -155,9 +154,6 @@ class RepairingSequence:
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(op) for op in self.ops) + ")"
-
-
-EMPTY_SEQUENCE = RepairingSequence(())
 
 
 @dataclass(frozen=True)
@@ -208,15 +204,13 @@ class _Dag:
     full mask comes last and a reversed sweep meets every parent before
     its children. Residual i has the children kids[starts[i]:starts[i+1]]
     (positions, in canonical operation order); leaves[i] counts the
-    complete sequences from it and nodes[i] the tree nodes below it,
-    itself included.
+    complete sequences from it.
     """
 
     masks: list[int]
     starts: list[int]
     kids: list[int]
     leaves: list[int]
-    nodes: list[int]
 
     @property
     def root(self) -> int:
@@ -231,17 +225,16 @@ class _Dag:
         return [i for i in range(len(self.masks)) if s[i] == s[i + 1]]
 
 
-def _check_caps(states: int, nodes: int, cap: int, tree_cap: int | None) -> None:
-    """Raise once a count of residuals or of tree nodes is over its cap."""
+def _check_cap(states: int, cap: int) -> None:
+    """Raise once a count of residuals is over the cap."""
     if states > cap:
         raise SizeCapError(f"over {cap} reachable residual databases")
-    if tree_cap is not None and nodes > tree_cap:
-        raise SizeCapError(f"repairing tree has over {tree_cap} nodes")
 
 
 class _Conflicts:
     """Facts 0..n-1 and their conflicting pairs as bitmasks: the justified
-    operations of a residual, and the residual DAG of each mode."""
+    operations of a residual, and the residual DAG of each mode: built on
+    components only, a _Space's DAG serves the tests as a reference."""
 
     def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
         self.n = n
@@ -287,22 +280,20 @@ class _Conflicts:
                         out.append(low | high)
         return out
 
-    def dag(self, singleton_only: bool, cap: int, tree_cap: int | None = None) -> _Dag:
+    def dag(self, singleton_only: bool, cap: int) -> _Dag:
         """The residual DAG of a mode, built once and cached.
 
-        Fails on more than cap residuals, or on more than tree_cap tree
-        nodes when one is given, whatever an earlier call built; a walk
-        that fails caches nothing.
+        Fails on more than cap residuals, whatever an earlier call built;
+        a walk that fails caches nothing.
         """
         dag = self._dags[singleton_only]
         if dag is None:
-            bound = 3**self.matching  # residuals, hence also tree nodes
-            _check_caps(bound, bound, cap, tree_cap)
-            dag = self._dags[singleton_only] = self._walk(singleton_only, cap, tree_cap)
-        _check_caps(len(dag.masks), dag.nodes[-1], cap, tree_cap)
+            _check_cap(3**self.matching, cap)
+            dag = self._dags[singleton_only] = self._walk(singleton_only, cap)
+        _check_cap(len(dag.masks), cap)
         return dag
 
-    def _walk(self, singleton_only: bool, cap: int, tree_cap: int | None) -> _Dag:
+    def _walk(self, singleton_only: bool, cap: int) -> _Dag:
         """Depth-first from the full mask on an explicit stack; a residual
         is recorded once all its children are."""
         index: dict[int, int] = {}
@@ -310,7 +301,6 @@ class _Conflicts:
         starts = [0]
         kids: list[int] = []
         leaves: list[int] = []
-        nodes: list[int] = []
 
         def frame(mask: int):
             children = [mask ^ om for om in self.justified(mask, singleton_only)]
@@ -331,10 +321,8 @@ class _Conflicts:
                 kids.extend(pos)
                 starts.append(len(kids))
                 leaves.append(sum(map(leaves.__getitem__, pos)) or 1)
-                nodes.append(1 + sum(map(nodes.__getitem__, pos)))
-                # the whole tree contains this residual's subtree
-                _check_caps(len(masks), nodes[-1], cap, tree_cap)
-        return _Dag(masks, starts, kids, leaves, nodes)
+                _check_cap(len(masks), cap)
+        return _Dag(masks, starts, kids, leaves)
 
 
 # A component of at most this many facts keeps the operations of every
@@ -512,6 +500,41 @@ def _space(db: Database, sigma: frozenset[FunctionalDependency]) -> _Space:
     return _Space(db, sigma)
 
 
+def _component_dags(space: _Space, singleton_only: bool, cap: int) -> list[_Dag]:
+    """The residual DAG of each connected component of the conflict graph.
+    Fails exactly when the instance has more than cap residuals, the
+    product of its components' counts: up front when a matching proves
+    it, during a component's walk once that component alone passes the
+    cap, and otherwise on the product."""
+    _check_cap(3**space.matching, cap)
+    dags = [comp.dag(singleton_only, cap) for comp in space.components()[0]]
+    _check_cap(prod(len(dag.masks) for dag in dags), cap)
+    return dags
+
+
+def _shuffled(dags: list[_Dag], leaves_only: bool) -> int:
+    """Paths from the full database of the whole instance, the shuffles of
+    its components' paths by length: the complete sequences, or all, the
+    tree nodes. No slot of a packed count carries: distinct paths of one
+    length extend to distinct complete sequences, which the root counts."""
+    joint = [1]
+    for dag in dags:
+        shift = dag.leaves[dag.root].bit_length()
+        weight = _forward(dag, shift)
+        if leaves_only:
+            weight = [weight[i] for i in dag.leaf_positions()]
+        joint = _shuffle(joint, _slots(sum(weight), shift))
+    return sum(joint)
+
+
+def _check_tree(space: _Space, singleton_only: bool, cap: int) -> None:
+    """Raise unless the sequence tree of a mode has at most cap residuals
+    and at most cap nodes, the shuffle of its components' paths."""
+    dags = _component_dags(space, singleton_only, cap)
+    if _shuffled(dags, False) > cap:
+        raise SizeCapError(f"repairing tree has over {cap} nodes")
+
+
 # ---------------------------------------------------------------------------
 # Public sequence-space operations
 # ---------------------------------------------------------------------------
@@ -526,9 +549,7 @@ def justified_ops(
     canonical order."""
     found: set[frozenset[Fact]] = set()
     for pair in violations(current, sigma).pairs:
-        f, g = sorted(pair)
-        found.add(frozenset((f,)))
-        found.add(frozenset((g,)))
+        found.update(frozenset((f,)) for f in pair)
         if not singleton_only:
             found.add(pair)
     return sorted((Operation(fs) for fs in found), key=lambda op: op.sort_key)
@@ -542,23 +563,34 @@ def _op_indices(om: int) -> tuple[int, ...]:
     return (i, rest.bit_length() - 1) if rest else (i,)
 
 
-def _dfs_leaves(dag: _Dag) -> Iterator[tuple[tuple[tuple[int, ...], ...], int]]:
+# a path in the sequence tree: the op index tuple of each operation
+_Path = tuple[tuple[int, ...], ...]
+
+
+def _steps(space: _Space, mask: int, singleton_only: bool) -> list[tuple[int, tuple[int, ...]]]:
+    """A joint residual's children in canonical operation order, as
+    (child mask, op index tuple) pairs."""
+    return [(mask ^ om, _op_indices(om)) for om in space.justified(mask, singleton_only)]
+
+
+def _dfs_leaves(space: _Space, singleton_only: bool) -> Iterator[tuple[_Path, int]]:
     """Leaves of the sequence tree in depth-first canonical order, as (op
-    index path, mask), read off the residual DAG on an explicit stack."""
-    masks = dag.masks
-    stack = [(dag.root, ())]
+    index path, mask), walked on the joint mask on an explicit stack; a
+    residual's children are listed once per call."""
+    steps: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    stack = [(space.full_mask, ())]
     while stack:
-        i, path = stack.pop()
-        kids = dag.children(i)
+        mask, path = stack.pop()
+        kids = steps.get(mask)
+        if kids is None:
+            kids = steps[mask] = _steps(space, mask, singleton_only)
         if not kids:
-            yield path, masks[i]
+            yield path, mask
             continue
-        mask = masks[i]
-        for c in reversed(kids):
-            stack.append((c, path + (_op_indices(mask & ~masks[c]),)))
+        stack.extend((child, path + (idx,)) for child, idx in reversed(kids))
 
 
-def _sequence_of(space: _Space, path: tuple[tuple[int, ...], ...]) -> RepairingSequence:
+def _sequence_of(space: _Space, path: _Path) -> RepairingSequence:
     return RepairingSequence(tuple(space.operation_of(idx) for idx in path))
 
 
@@ -568,14 +600,12 @@ def enumerate_sequences(
     singleton_only: bool = False,
     cap: int = DEFAULT_TREE_CAP,
 ) -> list[RepairingSequence]:
-    """All complete repairing sequences, in depth-first canonical order.
-
-    The tree size is computed up front on the residual subset graph; the
-    call fails before enumerating anything if it exceeds the cap.
-    """
+    """All complete repairing sequences, in depth-first canonical order;
+    fails before enumerating anything if the tree, counted up front from
+    the components' residual DAGs, is over the cap."""
     space = _space(db, frozenset(sigma))
-    dag = space.dag(singleton_only, cap, tree_cap=cap)
-    return [_sequence_of(space, path) for path, _ in _dfs_leaves(dag)]
+    _check_tree(space, singleton_only, cap)
+    return [_sequence_of(space, path) for path, _ in _dfs_leaves(space, singleton_only)]
 
 
 def candidate_repairs(
@@ -584,11 +614,11 @@ def candidate_repairs(
     singleton_only: bool = False,
     cap: int = DEFAULT_TREE_CAP,
 ) -> set[Database]:
-    """Results of all complete sequences, found on the subset graph
-    without walking the (much larger) sequence tree."""
+    """Results of all complete sequences, the joint leaves of the
+    components' residual DAGs, without walking the sequence tree."""
     space = _space(db, frozenset(sigma))
-    dag = space.dag(singleton_only, cap)
-    return {space.database_of(dag.masks[i]) for i in dag.leaf_positions()}
+    tables = _tables(space, GeneratorKind("ur", singleton_only), cap)
+    return {space.database_of(sum(parts)) for parts in product(*(t.masks for t in tables))}
 
 
 def _candidate_count(
@@ -598,9 +628,9 @@ def _candidate_count(
     cap: int = DEFAULT_TREE_CAP,
 ) -> int:
     """len(candidate_repairs(...)) under the same cap, without building a
-    Database per repair: the leaves of the residual DAG."""
+    Database per repair: the product of the components' leaf counts."""
     space = _space(db, frozenset(sigma))
-    return len(space.dag(singleton_only, cap).leaf_positions())
+    return prod(len(dag.leaf_positions()) for dag in _component_dags(space, singleton_only, cap))
 
 
 def sequence_count(
@@ -610,18 +640,21 @@ def sequence_count(
     cap: int = DEFAULT_TREE_CAP,
 ) -> int:
     """|CRS| (or the singleton variant) by dynamic programming on the
-    subset graph; exact for arbitrary FDs, without touching the tree.
-    Fails on more than cap + 1 residual states."""
+    components' residual DAGs; exact for arbitrary FDs, without touching
+    the tree. Fails on more than cap + 1 residual states."""
     space = _space(db, frozenset(sigma))
-    return space.dag(singleton_only, cap + 1).leaves[-1]
+    dags = _component_dags(space, singleton_only, cap + 1)
+    if len(dags) == 1:
+        return dags[0].leaves[-1]
+    return _shuffled(dags, True)
 
 
-def _canonical_paths(dag: _Dag, ordering: str) -> dict[int, tuple[tuple[int, ...], ...]]:
+def _canonical_paths(space: _Space, singleton_only: bool, ordering: str) -> dict[int, _Path]:
     """Per result mask, the preferred complete path under the ordering."""
     if ordering not in ("dfs", "reversed-dfs"):
         raise ValueError(f"unknown ordering {ordering!r}")
-    chosen: dict[int, tuple[tuple[int, ...], ...]] = {}
-    for path, mask in _dfs_leaves(dag):
+    chosen: dict[int, _Path] = {}
+    for path, mask in _dfs_leaves(space, singleton_only):
         if ordering == "reversed-dfs" or mask not in chosen:
             chosen[mask] = path
     return chosen
@@ -638,8 +671,9 @@ def canonical_sequences(
     one reaching it in depth-first tree order ("dfs"), or the last
     ("reversed-dfs")."""
     space = _space(db, frozenset(sigma))
-    dag = space.dag(singleton_only, cap, tree_cap=cap)
-    return {_sequence_of(space, path) for path in _canonical_paths(dag, ordering).values()}
+    _check_tree(space, singleton_only, cap)
+    paths = _canonical_paths(space, singleton_only, ordering).values()
+    return {_sequence_of(space, path) for path in paths}
 
 
 # ---------------------------------------------------------------------------
@@ -687,9 +721,6 @@ class RepairingChain:
                 stack.append((edge.child, ops + (edge.op,), p * edge.probability))
         return out
 
-    def leaf_distribution(self) -> dict[RepairingSequence, Fraction]:
-        return {seq: p for seq, p, _ in self.leaves()}
-
     def repair_distribution(self) -> "RepairDistribution":
         probs: dict[Database, Fraction] = {}
         for _, p, repair in self.leaves():
@@ -697,21 +728,15 @@ class RepairingChain:
                 probs[repair] = probs.get(repair, Fraction(0)) + p
         return RepairDistribution(probs)
 
-    def node_count(self) -> int:
-        count = 0
-        stack = [self.root]
-        while stack:
-            count += 1
-            stack.extend(e.child for e in stack.pop().edges)
-        return count
-
     def to_json(self) -> dict:
         root: dict = {}
         stack: list[tuple[ChainNode, Fraction | None, Fraction, dict]] = [
             (self.root, None, Fraction(1), root)
         ]
+        nodes = 0
         while stack:
             node, label, p, out = stack.pop()
+            nodes += 1
             out["residual"] = [str(f) for f in node.residual.sorted_facts]
             if label is not None:
                 out["label"] = f"{label.numerator}/{label.denominator}"
@@ -725,7 +750,7 @@ class RepairingChain:
                 stack.append((e.child, e.probability, p * e.probability, child))
         return {
             "generator": self.kind.label,
-            "node_count": self.node_count(),
+            "node_count": nodes,
             "root": root,
         }
 
@@ -746,51 +771,46 @@ def build_chain(
     """
     sigma = frozenset(sigma)
     space = _space(db, sigma)
-    dag = space.dag(kind.singleton_only, cap, tree_cap=cap)
-    masks = dag.masks
+    _check_tree(space, kind.singleton_only, cap)
 
-    prefix_counts: dict[tuple[tuple[int, ...], ...], int] = {}
+    prefix_counts: dict[_Path, int] = {}
     if kind.family == "ur":
-        for path in _canonical_paths(dag, ordering).values():
+        for path in _canonical_paths(space, kind.singleton_only, ordering).values():
             for stop in range(len(path) + 1):
                 prefix = path[:stop]
                 prefix_counts[prefix] = prefix_counts.get(prefix, 0) + 1
 
-    def frame(i: int, prefix: tuple[tuple[int, ...], ...]) -> tuple:
-        """A tree node at residual i: its children, their op index tuples
-        and labels, and the child nodes built so far."""
-        kids = dag.children(i)
-        idxs = [_op_indices(masks[i] & ~masks[c]) for c in kids]
+    singletons = kind.singleton_only
+    # post-order on an explicit stack: a node is built once its children
+    # are, each with the number of complete sequences below it
+    stack = [(space.full_mask, (), _steps(space, space.full_mask, singletons), [])]
+    while True:
+        mask, prefix, kids, built = stack[-1]
+        if len(built) < len(kids):
+            child, idx = kids[len(built)]
+            stack.append((child, prefix + (idx,), _steps(space, child, singletons), []))
+            continue
+        stack.pop()
+        leaves = sum(n for _, n in built) or 1
         here = prefix_counts.get(prefix, 0)
         if not kids:
             labels = []
         elif kind.family == "us":
-            labels = [Fraction(dag.leaves[c], dag.leaves[i]) for c in kids]
+            labels = [Fraction(n, leaves) for _, n in built]
         elif here == 0:  # every uo node, and ur nodes off the canonical paths
             labels = [Fraction(1, len(kids))] * len(kids)
         else:
-            labels = [Fraction(prefix_counts.get(prefix + (idx,), 0), here) for idx in idxs]
-        return i, prefix, kids, idxs, labels, []
-
-    # post-order on an explicit stack: a node is built once its children are
-    stack = [frame(dag.root, ())]
-    while True:
-        i, prefix, kids, idxs, labels, built = stack[-1]
-        if len(built) < len(kids):
-            k = len(built)
-            stack.append(frame(kids[k], prefix + (idxs[k],)))
-            continue
-        stack.pop()
+            labels = [Fraction(prefix_counts.get(prefix + (idx,), 0), here) for _, idx in kids]
         node = ChainNode(
-            space.database_of(masks[i]),
+            space.database_of(mask),
             tuple(
                 ChainEdge(space.operation_of(idx), label, child)
-                for idx, label, child in zip(idxs, labels, built)
+                for (_, idx), label, (child, _) in zip(kids, labels, built)
             ),
         )
         if not stack:
             return RepairingChain(db, sigma, kind, node)
-        stack[-1][5].append(node)
+        stack[-1][3].append((node, leaves))
 
 
 # ---------------------------------------------------------------------------
@@ -936,17 +956,10 @@ def _table(comp: _Component, dag: _Dag, family: str, single: bool) -> _Table:
 
 
 def _tables(space: _Space, kind: GeneratorKind, cap: int) -> list[_Table]:
-    """One table per connected component of the conflict graph.
-
-    Fails exactly when the instance has more than cap residuals, the
-    product of its components' counts: up front when a matching proves
-    it, during a component's walk once that component alone passes the
-    cap, and otherwise on the product.
-    """
-    _check_caps(3**space.matching, 0, cap, None)
+    """One table per connected component of the conflict graph; fails
+    like _component_dags."""
+    dags = _component_dags(space, kind.singleton_only, cap)
     comps, _ = space.components()
-    dags = [comp.dag(kind.singleton_only, cap) for comp in comps]
-    _check_caps(prod(len(dag.masks) for dag in dags), 0, cap, None)
     single = len(comps) == 1
     return [_table(comp, dag, kind.family, single) for comp, dag in zip(comps, dags)]
 

@@ -3,7 +3,9 @@
 Everything here recomputes quantities from first principles with plain
 loops over explicit fact lists, sharing no code with the package beyond
 the Fact/Database value types. Frozen test expectations come from these
-functions; the package is then held to them.
+functions; the package is then held to them. One exception is named as
+such: justified_ops_sequences walks the tree through the package's public
+justified_ops, to hold the bitmask walks to the order of that function.
 """
 
 from __future__ import annotations
@@ -12,7 +14,16 @@ import itertools
 import random
 from fractions import Fraction
 
-from opcqa import Database, Fact, FunctionalDependency, Schema, SizeCapError, fact
+from opcqa import (
+    Database,
+    Fact,
+    FunctionalDependency,
+    RepairingSequence,
+    Schema,
+    SizeCapError,
+    fact,
+    justified_ops,
+)
 
 # ---------------------------------------------------------------------------
 # Violations, sequences, repairs
@@ -68,6 +79,25 @@ def bf_complete_sequences(
             walk(facts - op, prefix + (op,))
 
     walk(db.facts, ())
+    return out
+
+
+def justified_ops_sequences(
+    db: Database, sigma, singleton_only: bool = False
+) -> list[RepairingSequence]:
+    """Every complete repairing sequence in depth-first order, taking each
+    residual database's children from the public justified_ops, in the
+    order it lists them: no masks and no residual DAG."""
+    out: list[RepairingSequence] = []
+
+    def walk(current: Database, prefix: tuple) -> None:
+        ops = justified_ops(current, sigma, singleton_only)
+        if not ops:
+            out.append(RepairingSequence(prefix))
+        for op in ops:
+            walk(Database.of(current.schema, current.facts - op.removed), prefix + (op,))
+
+    walk(db, ())
     return out
 
 

@@ -419,6 +419,26 @@ def test_sample_beyond_primary_keys(files, capsys):
     assert code == 0 and len(records) == 2
 
 
+def test_negative_draw_count_or_cap_is_a_usage_error(files, capsys):
+    keyed = files("keyed.json", KEYED_DOC)
+    query = files("q.json", BOOLEAN_QUERY_DOC)
+    for argv in (
+        ("sample", keyed, "--generator", "uo", "-n", "-2"),
+        ("exact", keyed, query, "--generator", "ur", "--cap", "-3"),
+        ("count", keyed, "--what", "sequences", "--cap", "-1"),
+        ("chain-dump", keyed, "--generator", "us", "--cap", "-1"),
+    ):
+        code, records, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert records == []
+        assert err.startswith("error:"), err
+    # zero stays allowed: no draws, and a cap no instance meets
+    code, records, _ = run(capsys, "sample", keyed, "--generator", "uo", "-n", "0")
+    assert code == 0 and records == []
+    code, _, err = run(capsys, "exact", keyed, query, "--generator", "ur", "--cap", "0")
+    assert code == 3 and err.startswith("error:")
+
+
 # ---------------------------------------------------------------------------
 # gen
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from opcqa import (
@@ -14,8 +15,10 @@ from opcqa import (
     US,
     Database,
     RandomSource,
+    SizeCapError,
     build_chain,
     candidate_repairs,
+    canonical_sequences,
     count_candidate_repairs,
     count_complete_sequences,
     enumerate_sequences,
@@ -36,6 +39,7 @@ from bruteforce import (
     SWEEP_TWO_KEYS,
     WIDE_FDS,
     WIDE_SCHEMA,
+    justified_ops_sequences,
     uo_forward_reference,
 )
 
@@ -201,6 +205,37 @@ def test_dag_children_are_the_justified_operations(instance, singleton_only):
             assert list(map(space.operation_of, picked)) == justified_ops(
                 joint, sigma, singleton_only
             )
+
+
+keyed_instances = block_profiles.map(lambda sizes: (keyed_db_of(sizes), SWEEP_KEY))
+
+
+@given(st.one_of(fd_instances, keyed_instances), st.booleans())
+@example(INTERLEAVED, False)
+@example(INTERLEAVED, True)
+@settings(max_examples=60, deadline=None)
+def test_enumeration_follows_the_order_of_justified_ops(instance, singleton_only):
+    """The mask walks list the tree's leaves in the order of a walk over
+    residual databases through justified_ops, the canonical sequences are
+    the first (dfs) or last (reversed-dfs) per result, and the tree-size
+    check counts the tree's nodes, the prefixes of complete sequences."""
+    db, sigma = instance
+    if sequence_count(db, sigma, singleton_only) > 2000:
+        return
+    expected = justified_ops_sequences(db, sigma, singleton_only)
+    assert enumerate_sequences(db, sigma, singleton_only) == expected
+    first: dict = {}
+    last: dict = {}
+    for seq in expected:
+        first.setdefault(seq.result(db), seq)
+        last[seq.result(db)] = seq
+    for ordering, chosen in (("dfs", first), ("reversed-dfs", last)):
+        got = canonical_sequences(db, sigma, singleton_only, ordering)
+        assert got == set(chosen.values()), ordering
+    nodes = len({seq.ops[:i] for seq in expected for i in range(len(seq) + 1)})
+    assert len(enumerate_sequences(db, sigma, singleton_only, cap=nodes)) == len(expected)
+    with pytest.raises(SizeCapError):
+        enumerate_sequences(db, sigma, singleton_only, cap=nodes - 1)
 
 
 def assert_uo_matches_reference(db, sigma, singleton_only: bool) -> None:

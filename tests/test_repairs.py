@@ -39,7 +39,7 @@ from opcqa import (
     sequence_count,
 )
 
-from opcqa.repairs import DEFAULT_TREE_CAP
+from opcqa.repairs import DEFAULT_TREE_CAP, _candidate_count
 
 from bruteforce import (
     WIDE_FDS,
@@ -344,6 +344,59 @@ def test_answering_many_instances_holds_little_memory():
             db, sigma, q = gen_hcoloring_instance(UndirectedGraph.of(nodes, edges))
             for kind in GENERATORS.values():
                 exact_answer_probability(db, sigma, kind, q)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 32 * 2**20, f"{held / 2**20:.1f} MB held"
+
+
+def _cycle_instance(k: int, tag: str = "c") -> tuple:
+    nodes = [f"{tag}{i}" for i in range(k)]
+    edges = [(nodes[i], nodes[(i + 1) % k]) for i in range(k)]
+    return gen_hcoloring_instance(UndirectedGraph.of(nodes, edges))[:2]
+
+
+@pytest.mark.parametrize(
+    "k, cap", [(9, DEFAULT_TREE_CAP), (30, 4**30)], ids=["9-cycle", "30-cycle-cap-raised"]
+)
+def test_counts_on_coloring_cycles_factorise(k, cap):
+    """A k-cycle's coloring instance has k two-fact components: each has 3
+    one-operation sequences (2 without pair deletions) and as many
+    repairs, and the sequences interleave in k! ways. The cap compares
+    the 4^k residuals (pairs mode) as usual: sequence_count fails on more
+    than cap + 1."""
+    db, sigma = _cycle_instance(k)
+    for singleton_only, per_part in ((False, 3), (True, 2)):
+        assert sequence_count(db, sigma, singleton_only, cap) == per_part**k * factorial(k)
+        assert _candidate_count(db, sigma, singleton_only, cap) == per_part**k
+    assert sequence_count(db, sigma, cap=4**k - 1) == 3**k * factorial(k)
+    with pytest.raises(SizeCapError):
+        sequence_count(db, sigma, cap=4**k - 2)
+
+
+def test_counting_many_instances_holds_little_memory():
+    """Counts and candidate repairs in both modes on 100 distinct 8-node
+    coloring instances leave little memory held once they return: what
+    stays cached per instance is its component DAGs, not a residual DAG
+    of the whole instance."""
+    import gc
+    import tracemalloc
+    from itertools import combinations
+
+    rng = random.Random(1911)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for n in range(100):
+            nodes = [f"i{n}n{i}" for i in range(8)]
+            edges = rng.sample(list(combinations(nodes, 2)), 6)
+            db, sigma, _ = gen_hcoloring_instance(UndirectedGraph.of(nodes, edges))
+            for singleton_only in (False, True):
+                sequence_count(db, sigma, singleton_only)
+                _candidate_count(db, sigma, singleton_only)
+                candidate_repairs(db, sigma, singleton_only)
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
