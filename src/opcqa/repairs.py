@@ -500,7 +500,7 @@ def _space(db: Database, sigma: frozenset[FunctionalDependency]) -> _Space:
     return _Space(db, sigma)
 
 
-def _component_dags(space: _Space, singleton_only: bool, cap: int) -> list[_Dag]:
+def _capped_dags(space: _Space, singleton_only: bool, cap: int) -> list[_Dag]:
     """The residual DAG of each connected component of the conflict graph.
     Fails exactly when the instance has more than cap residuals, the
     product of its components' counts: up front when a matching proves
@@ -530,7 +530,7 @@ def _shuffled(dags: list[_Dag], leaves_only: bool) -> int:
 def _check_tree(space: _Space, singleton_only: bool, cap: int) -> None:
     """Raise unless the sequence tree of a mode has at most cap residuals
     and at most cap nodes, the shuffle of its components' paths."""
-    dags = _component_dags(space, singleton_only, cap)
+    dags = _capped_dags(space, singleton_only, cap)
     if _shuffled(dags, False) > cap:
         raise SizeCapError(f"repairing tree has over {cap} nodes")
 
@@ -617,7 +617,7 @@ def candidate_repairs(
     """Results of all complete sequences, the joint leaves of the
     components' residual DAGs, without walking the sequence tree."""
     space = _space(db, frozenset(sigma))
-    tables = _tables(space, GeneratorKind("ur", singleton_only), cap)
+    tables = _tables(space, UR1 if singleton_only else UR, cap)
     return {space.database_of(sum(parts)) for parts in product(*(t.masks for t in tables))}
 
 
@@ -630,7 +630,7 @@ def _candidate_count(
     """len(candidate_repairs(...)) under the same cap, without building a
     Database per repair: the product of the components' leaf counts."""
     space = _space(db, frozenset(sigma))
-    return prod(len(dag.leaf_positions()) for dag in _component_dags(space, singleton_only, cap))
+    return prod(len(dag.leaf_positions()) for dag in _capped_dags(space, singleton_only, cap))
 
 
 def sequence_count(
@@ -643,7 +643,7 @@ def sequence_count(
     components' residual DAGs; exact for arbitrary FDs, without touching
     the tree. Fails on more than cap + 1 residual states."""
     space = _space(db, frozenset(sigma))
-    dags = _component_dags(space, singleton_only, cap + 1)
+    dags = _capped_dags(space, singleton_only, cap + 1)
     if len(dags) == 1:
         return dags[0].leaves[-1]
     return _shuffled(dags, True)
@@ -957,8 +957,8 @@ def _table(comp: _Component, dag: _Dag, family: str, single: bool) -> _Table:
 
 def _tables(space: _Space, kind: GeneratorKind, cap: int) -> list[_Table]:
     """One table per connected component of the conflict graph; fails
-    like _component_dags."""
-    dags = _component_dags(space, kind.singleton_only, cap)
+    like _capped_dags."""
+    dags = _capped_dags(space, kind.singleton_only, cap)
     comps, _ = space.components()
     single = len(comps) == 1
     return [_table(comp, dag, kind.family, single) for comp, dag in zip(comps, dags)]

@@ -351,12 +351,6 @@ def test_answering_many_instances_holds_little_memory():
     assert held < 32 * 2**20, f"{held / 2**20:.1f} MB held"
 
 
-def _cycle_instance(k: int, tag: str = "c") -> tuple:
-    nodes = [f"{tag}{i}" for i in range(k)]
-    edges = [(nodes[i], nodes[(i + 1) % k]) for i in range(k)]
-    return gen_hcoloring_instance(UndirectedGraph.of(nodes, edges))[:2]
-
-
 @pytest.mark.parametrize(
     "k, cap", [(9, DEFAULT_TREE_CAP), (30, 4**30)], ids=["9-cycle", "30-cycle-cap-raised"]
 )
@@ -366,7 +360,9 @@ def test_counts_on_coloring_cycles_factorise(k, cap):
     repairs, and the sequences interleave in k! ways. The cap compares
     the 4^k residuals (pairs mode) as usual: sequence_count fails on more
     than cap + 1."""
-    db, sigma = _cycle_instance(k)
+    nodes = [f"c{i}" for i in range(k)]
+    cycle = UndirectedGraph.of(nodes, [(nodes[i], nodes[(i + 1) % k]) for i in range(k)])
+    db, sigma, _ = gen_hcoloring_instance(cycle)
     for singleton_only, per_part in ((False, 3), (True, 2)):
         assert sequence_count(db, sigma, singleton_only, cap) == per_part**k * factorial(k)
         assert _candidate_count(db, sigma, singleton_only, cap) == per_part**k
