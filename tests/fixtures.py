@@ -129,3 +129,30 @@ def one_component_instance() -> tuple[Database, frozenset[FunctionalDependency]]
         ("a3", "b0", "c1"),
     ]
     return Database.of(TRIPLE_SCHEMA, [fact("R", *r) for r in rows]), TRIPLE_FDS
+
+
+# ---------------------------------------------------------------------------
+# Primary keys on a column other than the first: blocks in key order differ
+# from the order of the facts.
+# ---------------------------------------------------------------------------
+
+
+def second_column_instance() -> tuple[Database, frozenset[FunctionalDependency]]:
+    """R(A,B,C) under the primary key B: blocks of sizes 4, 3, 2, 1 whose
+    facts interleave in fact order."""
+    rows = [(f"a{i}", "b0", f"c{i % 2}") for i in range(4)]
+    rows += [(f"a{i}", "b1", "c0") for i in range(3)]
+    rows += [("a1", "b2", "c1"), ("a3", "b2", "c1"), ("a2", "b3", "c0")]
+    return Database.of(TRIPLE_SCHEMA, [fact("R", *r) for r in rows]), frozenset(
+        [FunctionalDependency.of("R", ("B",), ("A", "C"))]
+    )
+
+
+def swapped_key_instance() -> tuple[Database, frozenset[FunctionalDependency]]:
+    """R(A,B) under the primary key B: blocks b0, b1, b2 of sizes 2, 2, 3,
+    where the first fact in fact order, R(a0,b1), is in block b1."""
+    rows = [("a0", "b1"), ("a1", "b1"), ("a1", "b0"), ("a2", "b0")]
+    rows += [("a2", "b2"), ("a3", "b2"), ("a4", "b2")]
+    return Database.of(Schema.of(R=("A", "B")), [fact("R", *r) for r in rows]), frozenset(
+        [FunctionalDependency.of("R", ("B",), ("A",))]
+    )

@@ -37,6 +37,8 @@ from fixtures import (
     keyed_instance,
     keyed_query,
     ladder_instance,
+    second_column_instance,
+    swapped_key_instance,
     triple_instance,
 )
 
@@ -311,9 +313,27 @@ def test_vectorized_streams_match_scalar_reference():
         ),
         (Variable("x"),),
     )
+    # keys in the second column: blocks drawn in key order, not fact order
+    second_db, second_sigma = second_column_instance()
+    second_q = ConjunctiveQuery(
+        (
+            Atom("R", (Variable("x"), Constant("b0"), Variable("z"))),
+            Atom("R", (Variable("x"), Constant("b1"), Variable("w"))),
+        ),
+        (Variable("x"),),
+    )
+    swapped_db, swapped_sigma = swapped_key_instance()
+    swapped_q = ConjunctiveQuery(
+        (Atom("R", (Variable("x"), Constant("b0"))), Atom("R", (Variable("x"), Constant("b2")))),
+        (Variable("x"),),
+    )
     vectorized = [
         (big_db, big_sigma, UR, big_q, ("v1",)),
         (big_db, big_sigma, UR1, ladder_q, ("v2",)),
+        (second_db, second_sigma, UR, second_q, ("a1",)),
+        (second_db, second_sigma, UR1, second_q, ("a2",)),
+        (swapped_db, swapped_sigma, UR, swapped_q, ("a2",)),
+        (swapped_db, swapped_sigma, UR1, swapped_q, ("a2",)),
         (ladder_db, ladder_sigma, UO, ladder_q, ("v0",)),
         (ladder_db, ladder_sigma, UO1, ladder_q, ("v2",)),
         (inter_db, inter_sigma, UO, inter_q, ()),

@@ -31,11 +31,12 @@ from opcqa.sampling import mix64
 from fixtures import (
     LADDER_KEY,
     LADDER_SCHEMA,
-    TRIPLE_SCHEMA,
     interleaved_instance,
     keyed_instance,
     ladder_instance,
     one_component_instance,
+    second_column_instance,
+    swapped_key_instance,
     triple_instance,
 )
 
@@ -313,17 +314,6 @@ def _us_ladder_instance():
     return Database.of(LADDER_SCHEMA, facts), LADDER_KEY
 
 
-def _us_second_column_instance():
-    """R(A,B,C) under the primary key B: blocks of sizes 4, 3, 2, 1 whose
-    facts interleave in fact order."""
-    rows = [(f"a{i}", "b0", f"c{i % 2}") for i in range(4)]
-    rows += [(f"a{i}", "b1", "c0") for i in range(3)]
-    rows += [("a1", "b2", "c1"), ("a3", "b2", "c1"), ("a2", "b3", "c0")]
-    return Database.of(TRIPLE_SCHEMA, [fact("R", *r) for r in rows]), frozenset(
-        [FunctionalDependency.of("R", ("B",), ("A", "C"))]
-    )
-
-
 def _us_two_relation_instance():
     """Primary keys on two relations: R blocks of sizes 3, 2; S of 2, 1, 3."""
     schema = Schema.of(R=("K", "V"), S=("K", "V"))
@@ -341,7 +331,7 @@ def _us_two_relation_instance():
 
 US_INSTANCES = {
     "ladder": _us_ladder_instance,
-    "second": _us_second_column_instance,
+    "second": second_column_instance,
     "two": _us_two_relation_instance,
 }
 
@@ -359,9 +349,53 @@ def test_us_draws_are_pinned():
         ]
         assert got == want, (name, label)
     # the blocks of the second-column key interleave in fact order
-    db, _ = _us_second_column_instance()
+    db, _ = second_column_instance()
     keys = [f.values[1] for f in sorted(db.facts)]
     assert keys != sorted(keys)
+
+
+# Draws of the uniform-repair sampler per (instance, generator) for
+# RandomSource(0..4): the positions of the kept facts in the sorted facts.
+UR_PINS = {
+    ("ladder", "ur"): [
+        "1 2 7 15 19 20",
+        "0 2 7 15",
+        "0 3 4 9 10 15 17 23",
+        "4 9 12 17 21",
+        "2 5 8 10 14 19 23",
+    ],
+    ("ladder", "ur1"): [
+        "1 2 5 8 11 13 17 20",
+        "0 3 5 7 12 13 16 22",
+        "0 3 4 9 10 13 16 20",
+        "0 3 5 7 10 15 18 22",
+        "0 3 6 7 11 15 16 22",
+    ],
+    ("second", "ur"): ["0 1 7 9", "0 7 9", "3 4 7", "3 7 8 9", "3 5 7"],
+    ("second", "ur1"): ["1 7 8 9", "1 5 7 9", "3 4 5 7", "4 5 6 7", "0 1 7 9"],
+    ("two", "ur"): ["3 6 7 8", "2 3 6 7 8", "2 4 5 7 10", "2 6 7 10", "0 3 7 9"],
+    ("two", "ur1"): ["1 3 6 7 9", "0 4 6 7 8", "0 4 5 7 10", "2 4 5 7 8", "2 4 6 7 8"],
+    ("swapped", "ur"): ["0 3", "0 1", "1 2 4", "4", "0 5"],
+    ("swapped", "ur1"): ["0 3 5", "1 2 5", "1 2 4", "1 2 5", "1 2 6"],
+}
+UR_INSTANCES = dict(US_INSTANCES, swapped=swapped_key_instance)
+
+
+def test_ur_draws_are_pinned():
+    for (name, label), want in UR_PINS.items():
+        db, sigma = UR_INSTANCES[name]()
+        order = {f: i for i, f in enumerate(sorted(db.facts))}
+        got = [
+            " ".join(
+                str(order[f])
+                for f in sorted(sample_repair_uniform(db, sigma, RandomSource(seed), label == "ur1"))
+            )
+            for seed in range(5)
+        ]
+        assert got == want, (name, label)
+    # blocks are drawn by key, b0 first, though the first fact is in b1
+    db, _ = swapped_key_instance()
+    assert min(db.facts).values[1] == "b1"
 
 
 # ---------------------------------------------------------------------------
