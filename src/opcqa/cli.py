@@ -82,6 +82,20 @@ def _load_json(path: str) -> Any:
         raise _fail(path, f"invalid JSON: {exc}") from exc
 
 
+def _write_json(path: str, document: Any, out) -> None:
+    """Print a JSON document to out when path is "-", else write it to the
+    file at path."""
+    payload = json.dumps(document, indent=2)
+    if path == "-":
+        print(payload, file=out)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(payload + "\n")
+    except OSError as exc:
+        raise _fail(path, f"cannot write: {exc.strerror or exc}") from exc
+
+
 def _string_list(value: Any, where: str) -> list[str]:
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise _fail(where, "expected a list of strings")
@@ -418,15 +432,9 @@ def cmd_gen(args, out) -> int:
         except ValueError as exc:
             raise ParseError(f"{args.input}: {exc}") from exc
 
-    payload = json.dumps(dump_instance(db, sigma), indent=2)
-    if args.out == "-":
-        print(payload, file=out)
-    else:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
+    _write_json(args.out, dump_instance(db, sigma), out)
     if args.query_out:
-        with open(args.query_out, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(dump_query(query), indent=2) + "\n")
+        _write_json(args.query_out, dump_query(query), out)
     return 0
 
 
@@ -434,12 +442,7 @@ def cmd_chain_dump(args, out) -> int:
     db, sigma = load_instance(args.instance)
     kind = GENERATORS[args.generator]
     chain = build_chain(db, sigma, kind, cap=args.cap, ordering=args.ordering)
-    payload = json.dumps(chain.to_json(), indent=2)
-    if args.out == "-":
-        print(payload, file=out)
-    else:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
+    _write_json(args.out, chain.to_json(), out)
     return 0
 
 

@@ -32,17 +32,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SizeCapError, UnsupportedCombinationError
-from .queries import ConjunctiveQuery, witness_masks, witnesses
+from .queries import ConjunctiveQuery, witnesses
 from .relational import Database, FunctionalDependency, is_keys, is_primary_keys
 from .repairs import GeneratorKind, _space
-from .sampling import (
-    GOLDEN,
-    STREAM,
-    RandomSource,
-    _key_blocks,
-    _require_sampler,
-    sample_outcome,
-)
+from .sampling import GOLDEN, STREAM, RandomSource, _require_sampler, sample_outcome
 
 __all__ = [
     "E_OVER",
@@ -267,6 +260,62 @@ class _ScalarStream:
         return out
 
 
+class _Witnesses:
+    """Which lanes keep one of an answer's witnesses, given the outcome
+    each lane ends on in each conflict component.
+
+    outcomes[c] holds the local masks of component c's possible outcomes,
+    and a lane's outcome in c is a position in it. A witness holds on a
+    lane when every component it touches ends on an outcome that keeps
+    its part. A witness within one component folds into that component's
+    table; a joint one is kept as its (component, table) pairs. Only the
+    touched components matter."""
+
+    def __init__(self, space, q, answer, outcomes: Sequence[np.ndarray]):
+        comps, _ = space.components()
+        where = {g: (c, 1 << i) for c, comp in enumerate(comps) for i, g in enumerate(comp.facts)}
+        keeps: dict[tuple[int, int], np.ndarray] = {}
+
+        def keep(c: int, part: int) -> np.ndarray:
+            if (c, part) not in keeps:
+                keeps[c, part] = outcomes[c] & part == part
+            return keeps[c, part]
+
+        self.always = False
+        self._single: dict[int, np.ndarray] = {}
+        self._joint: list[list[tuple[int, np.ndarray]]] = []
+        found = space.answer_masks(q, answer).get(answer, ())
+        self.witnessed = bool(found)
+        for w in found:
+            parts: dict[int, int] = {}
+            while w:
+                low = w & -w
+                c, b = where[low.bit_length() - 1]
+                parts[c] = parts.get(c, 0) | b
+                w ^= low
+            if not parts:
+                self.always = True
+            elif len(parts) == 1:
+                ((c, part),) = parts.items()
+                self._single[c] = self._single.get(c, False) | keep(c, part)
+            else:
+                self._joint.append([(c, keep(c, part)) for c, part in parts.items()])
+        self.touched = set(self._single) | {c for parts in self._joint for c, _ in parts}
+
+    def hits(self, ends, count: int) -> np.ndarray:
+        """Per lane, whether it keeps a witness; ends[c] is the array of
+        the lanes' outcome positions in touched component c."""
+        out = np.zeros(count, dtype=bool)
+        for c, table in self._single.items():
+            out |= table[ends[c]]
+        for parts in self._joint:
+            hit = np.ones(count, dtype=bool)
+            for c, table in parts:
+                hit &= table[ends[c]]
+            out |= hit
+        return out.astype(np.uint8)
+
+
 class _UoWalkStream:
     """Vectorized uniform-operations walk, one residual DAG per conflict
     component.
@@ -277,11 +326,10 @@ class _UoWalkStream:
     64-bit rejection rule of RandomSource.randbelow, and takes the r-th
     operation by the rule of repairs._Space.select, on the run offsets
     of _Component.ops, here shifted to positions in the joint child
-    array. A lane's repair answers when it keeps a witness: for some
-    witness, every component the witness touches ends on a residual that
-    keeps its part. Built from the DAGs of _component_dags; lanes walk in
-    slices of at most _LANE_CELLS lane-runs, so memory does not grow with
-    the batch."""
+    array. A lane's repair answers when it keeps a witness (_Witnesses,
+    on the residual masks of each component's DAG). Built from the DAGs
+    of _component_dags; lanes walk in slices of at most _LANE_CELLS
+    lane-runs, so memory does not grow with the batch."""
 
     def __init__(self, space, dags, q, answer):
         comps, runs = space.components()
@@ -324,38 +372,11 @@ class _UoWalkStream:
         )
         self._accept_all = np.asarray([r == 0 for r in rems], dtype=bool)
 
-        # per component, which of its residuals keep one witness part; a
-        # witness within one component folds into that component's table
-        where = {g: (c, 1 << i) for c, comp in enumerate(comps) for i, g in enumerate(comp.facts)}
-        keeps: dict[tuple[int, int], np.ndarray] = {}
-
-        def keep(c: int, part: int) -> np.ndarray:
-            if (c, part) not in keeps:
-                keeps[c, part] = masks[c] & part == part
-            return keeps[c, part]
-
-        self._always = False
-        self._single: dict[int, np.ndarray] = {}
-        self._joint: list[list[tuple[int, np.ndarray]]] = []
-        found = space.answer_masks(q, answer).get(answer, ())
-        self.witnessed = bool(found)
-        for w in found:
-            parts: dict[int, int] = {}
-            while w:
-                low = w & -w
-                c, b = where[low.bit_length() - 1]
-                parts[c] = parts.get(c, 0) | b
-                w ^= low
-            if not parts:
-                self._always = True
-            elif len(parts) == 1:
-                ((c, part),) = parts.items()
-                self._single[c] = self._single.get(c, False) | keep(c, part)
-            else:
-                self._joint.append([(c, keep(c, part)) for c, part in parts.items()])
+        self._witnesses = _Witnesses(space, q, answer, masks)
+        self.witnessed = self._witnesses.witnessed
 
     def batch(self, seed: int, base: int, count: int) -> np.ndarray:
-        if self._always:
+        if self._witnesses.always:
             return np.ones(count, dtype=np.uint8)
         lanes = max(1, _LANE_CELLS // max(1, self._run_comp.size))
         if count > lanes:
@@ -391,60 +412,37 @@ class _UoWalkStream:
             lane = np.arange(live.size)
             passed = np.where(run > 0, cum[np.maximum(run - 1, 0), lane], 0)
             ids[self._run_comp[run], live] = self._kids[begin[run, lane] + r - passed]
-        local = ids - self._first  # positions within each component's DAG
-        out = np.zeros(count, dtype=bool)
-        for c, table in self._single.items():
-            out |= table[local[c]]
-        for parts in self._joint:
-            hit = np.ones(count, dtype=bool)
-            for c, table in parts:
-                hit &= table[local[c]]
-            out |= hit
-        return out.astype(np.uint8)
+        return self._witnesses.hits(ids - self._first, count)  # positions in each DAG
 
 
 class _UrBlockStream:
-    """Vectorized uniform-repair draws under primary keys: one categorical
-    draw per conflicting block per lane, in block order, with the exact
-    64-bit rejection rule of RandomSource.randbelow. Facts outside the
-    blocks are always kept, so a witness holds on a lane when each block
-    fact it contains is its block's choice (never, when it has two facts
-    in one block). Only the choices of blocks some witness touches are
-    kept, as one array per block."""
+    """Vectorized uniform-repair draws under primary keys, where the
+    conflict components are the blocks of two or more facts: one
+    categorical draw per block per lane, in block order
+    (_Space.block_order), with the exact 64-bit rejection rule of
+    RandomSource.randbelow. Choice i of a block keeps its i-th fact, and
+    in pair mode its last choice empties it; only the choices of blocks
+    some witness touches are kept, as one array per block."""
 
-    def __init__(self, db, sigma, kind, q, answer):
-        nontrivial = _key_blocks(db, frozenset(sigma)).nontrivial
-        self._draws = [
-            len(facts) if kind.singleton_only else len(facts) + 1
-            for facts in nontrivial
+    def __init__(self, space, kind, q, answer):
+        comps, _ = space.components()
+        emptied = [] if kind.singleton_only else [0]
+        # object arrays: a block may have more facts than an int64 has bits
+        outcomes = [
+            np.array([1 << i for i in range(comp.n)] + emptied, dtype=object) for comp in comps
         ]
-        where = [(b, i) for b, facts in enumerate(nontrivial) for i in range(len(facts))]
-        bit = {f: 1 << j for j, f in enumerate(f for facts in nontrivial for f in facts)}
-        self._always = False
-        # per block, the choices that keep a witness within it; witnesses
-        # across blocks as (block, choice) pairs
-        self._single: dict[int, np.ndarray] = {}
-        self._joint: list[list[tuple[int, int]]] = []
-        found = witnesses(q, db, answer).get(answer, ())
-        self.witnessed = bool(found)
-        for w in witness_masks(found, bit):
-            parts = [where[j] for j in range(w.bit_length()) if w >> j & 1]
-            if not parts:
-                self._always = True
-            elif len(parts) == 1:
-                ((b, i),) = parts
-                self._single.setdefault(b, np.zeros(self._draws[b], dtype=bool))[i] = True
-            else:
-                self._joint.append(parts)
-        self._touched = set(self._single) | {b for parts in self._joint for b, _ in parts}
+        self._draws = [(c, len(outcomes[c])) for c in space.block_order()]
+        self._witnesses = _Witnesses(space, q, answer, outcomes)
+        self.witnessed = self._witnesses.witnessed
 
     def batch(self, seed: int, base: int, count: int) -> np.ndarray:
-        if self._always:
+        if self._witnesses.always:
             return np.ones(count, dtype=np.uint8)
+        touched = self._witnesses.touched
         bases = _stream_bases(seed, base, count)
         drawn = np.zeros(count, dtype=np.uint64)
         choices: dict[int, np.ndarray] = {}
-        for b, n in enumerate(self._draws):
+        for c, n in self._draws:
             drawn += np.uint64(1)
             u = _mix64_array(bases + drawn * np.uint64(GOLDEN))
             rem = (1 << 64) % n
@@ -458,17 +456,9 @@ class _UrBlockStream:
                     )
                     u[pending] = redraw
                     pending = pending[redraw >= limit]
-            if b in self._touched:
-                choices[b] = (u % np.uint64(n)).astype(np.int64)
-        out = np.zeros(count, dtype=bool)
-        for b, table in self._single.items():
-            out |= table[choices[b]]
-        for parts in self._joint:
-            hit = np.ones(count, dtype=bool)
-            for b, i in parts:
-                hit &= choices[b] == i
-            out |= hit
-        return out.astype(np.uint8)
+            if c in touched:
+                choices[c] = (u % np.uint64(n)).astype(np.int64)
+        return self._witnesses.hits(choices, count)
 
 
 def _component_dags(space, singleton_only: bool):
@@ -499,7 +489,7 @@ def _indicator_stream(db, sigma, kind, q, answer):
         if dags is not None:
             return _UoWalkStream(space, dags, q, answer)
     if kind.family == "ur":
-        return _UrBlockStream(db, sigma, kind, q, answer)
+        return _UrBlockStream(_space(db, sigma), kind, q, answer)
     return _ScalarStream(db, sigma, kind, q, answer)
 
 

@@ -45,6 +45,7 @@ from .relational import (
     Database,
     Fact,
     FunctionalDependency,
+    blocks,
     conflict_graph,
     is_nontrivially_connected,
     violations,
@@ -232,9 +233,8 @@ def _check_cap(states: int, cap: int) -> None:
 
 
 class _Conflicts:
-    """Facts 0..n-1 and their conflicting pairs as bitmasks: the justified
-    operations of a residual, and the residual DAG of each mode: built on
-    components only, a _Space's DAG serves the tests as a reference."""
+    """Facts 0..n-1 and their conflicting pairs as bitmasks, and the
+    justified operations of a residual."""
 
     def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
         self.n = n
@@ -246,8 +246,6 @@ class _Conflicts:
         for i, j in edges:
             self.nbr[i] |= 1 << j
             self.nbr[j] |= 1 << i
-        # the residual DAG of each mode, indexed by singleton_only
-        self._dags: list[_Dag | None] = [None, None]
         # A greedy matching of mu conflicting pairs gives at least 3^mu
         # reachable residuals in either mode: each matched pair keeps both
         # facts or loses either one, a deletion justified by its partner.
@@ -279,6 +277,67 @@ class _Conflicts:
                         pairs ^= high
                         out.append(low | high)
         return out
+
+
+# A component of at most this many facts keeps the operations of every
+# local residual a walk visits: at most 2^16 masks per mode.
+_OPS_TABLE_LIMIT = 16
+
+
+class _Component(_Conflicts):
+    """One connected component of a _Space's conflict graph.
+
+    Local bit i stands for the component's i-th fact in canonical order,
+    facts[i] is its index in the _Space. A run is a maximal stretch of
+    consecutive _Space facts that lie in one component; run_starts holds
+    the local index of the first fact of each of the component's runs.
+    An operation sorts by its first fact, so the operations of one run are
+    a contiguous slice of the component's canonical list, and the
+    instance's canonical list takes those slices run after run (see
+    _Space.select). The residual DAG of each mode is built on first use
+    (dag).
+    """
+
+    def __init__(
+        self,
+        facts: tuple[int, ...],
+        edges: tuple[tuple[int, int], ...],
+        run_starts: tuple[int, ...],
+    ):
+        super().__init__(len(facts), edges)
+        self.facts = facts
+        self.run_starts = run_starts
+        # one (_Space index tuple, local op mask) entry per operation, keyed
+        # by its mask, so that the tables below share entries instead of
+        # holding copies
+        self._entries = {1 << i: ((g,), 1 << i) for i, g in enumerate(facts)}
+        for (i, j), em in zip(edges, self.edge_masks):
+            self._entries[em] = ((facts[i], facts[j]), em)
+        self._run_bits = tuple(1 << s for s in run_starts)
+        # filled only when n <= _OPS_TABLE_LIMIT
+        self._tables: tuple[dict, dict] = ({}, {})
+        # the residual DAG of each mode, indexed by singleton_only
+        self._dags: list[_Dag | None] = [None, None]
+
+    def ops(
+        self, mask: int, singleton_only: bool
+    ) -> tuple[tuple[tuple[tuple[int, ...], int], ...], tuple[int, ...]]:
+        """Justified operations of a local residual in canonical order, as
+        (_Space index tuple, local op mask) pairs, and the offsets of its
+        runs: the position of each run's first operation in that list,
+        then the list's length. Kept in a table for small components,
+        recomputed for larger ones."""
+        table = self._tables[singleton_only]
+        hit = table.get(mask)
+        if hit is None:
+            found = self.justified(mask, singleton_only)
+            # an operation's lowest bit is its first fact
+            firsts = [om & -om for om in found]
+            offsets = tuple(bisect_left(firsts, b) for b in self._run_bits)
+            hit = (tuple(map(self._entries.__getitem__, found)), offsets + (len(found),))
+            if self.n <= _OPS_TABLE_LIMIT:
+                table[mask] = hit
+        return hit
 
     def dag(self, singleton_only: bool, cap: int) -> _Dag:
         """The residual DAG of a mode, built once and cached.
@@ -325,64 +384,6 @@ class _Conflicts:
         return _Dag(masks, starts, kids, leaves)
 
 
-# A component of at most this many facts keeps the operations of every
-# local residual a walk visits: at most 2^16 masks per mode.
-_OPS_TABLE_LIMIT = 16
-
-
-class _Component(_Conflicts):
-    """One connected component of a _Space's conflict graph.
-
-    Local bit i stands for the component's i-th fact in canonical order,
-    facts[i] is its index in the _Space. A run is a maximal stretch of
-    consecutive _Space facts that lie in one component; run_starts holds
-    the local index of the first fact of each of the component's runs.
-    An operation sorts by its first fact, so the operations of one run are
-    a contiguous slice of the component's canonical list, and the
-    instance's canonical list takes those slices run after run (see
-    _Space.select).
-    """
-
-    def __init__(
-        self,
-        facts: tuple[int, ...],
-        edges: tuple[tuple[int, int], ...],
-        run_starts: tuple[int, ...],
-    ):
-        super().__init__(len(facts), edges)
-        self.facts = facts
-        self.run_starts = run_starts
-        # one (_Space index tuple, local op mask) entry per operation, keyed
-        # by its mask, so that the tables below share entries instead of
-        # holding copies
-        self._entries = {1 << i: ((g,), 1 << i) for i, g in enumerate(facts)}
-        for (i, j), em in zip(edges, self.edge_masks):
-            self._entries[em] = ((facts[i], facts[j]), em)
-        self._run_bits = tuple(1 << s for s in run_starts)
-        # filled only when n <= _OPS_TABLE_LIMIT
-        self._tables: tuple[dict, dict] = ({}, {})
-
-    def ops(
-        self, mask: int, singleton_only: bool
-    ) -> tuple[tuple[tuple[tuple[int, ...], int], ...], tuple[int, ...]]:
-        """Justified operations of a local residual in canonical order, as
-        (_Space index tuple, local op mask) pairs, and the offsets of its
-        runs: the position of each run's first operation in that list,
-        then the list's length. Kept in a table for small components,
-        recomputed for larger ones."""
-        table = self._tables[singleton_only]
-        hit = table.get(mask)
-        if hit is None:
-            found = self.justified(mask, singleton_only)
-            # an operation's lowest bit is its first fact
-            firsts = [om & -om for om in found]
-            offsets = tuple(bisect_left(firsts, b) for b in self._run_bits)
-            hit = (tuple(map(self._entries.__getitem__, found)), offsets + (len(found),))
-            if self.n <= _OPS_TABLE_LIMIT:
-                table[mask] = hit
-        return hit
-
-
 class _Space(_Conflicts):
     """Bitmask view of the facts involved in at least one conflict.
 
@@ -405,13 +406,17 @@ class _Space(_Conflicts):
         )
         self.untouched: frozenset[Fact] = db.facts - frozenset(involved)
         self._split: tuple[tuple[_Component, ...], tuple[tuple[int, int], ...]] | None = None
+        # component_of[i]: the component of conflict fact i, set by components()
+        self.component_of: list[int] = []
+        self._block_order: tuple[int, ...] | None = None
         self._operations: dict[tuple[int, ...], Operation] = {}
 
     def components(self) -> tuple[tuple[_Component, ...], tuple[tuple[int, int], ...]]:
         """The connected components of the conflict graph, ordered by their
         first fact, and for each run (see _Component), in fact order, the
         component it lies in and its number among that component's runs;
-        computed on first use."""
+        computed on first use. Under primary keys the components are the
+        blocks of two or more facts."""
         if self._split is None:
             parent = list(range(self.n))
 
@@ -430,6 +435,7 @@ class _Space(_Conflicts):
             runs: list[tuple[int, int]] = []
             for i in range(self.n):
                 c = number.setdefault(root(i), len(members))
+                self.component_of.append(c)
                 if c == len(members):
                     members.append([])
                     run_starts.append([])
@@ -447,6 +453,19 @@ class _Space(_Conflicts):
             )
             self._split = (comps, tuple(runs))
         return self._split
+
+    def block_order(self) -> tuple[int, ...]:
+        """The components in the order of relational.blocks (relation, then
+        key values), found on first use. Raises unless the FDs are primary
+        keys."""
+        if self._block_order is None:
+            self.components()
+            self._block_order = tuple(
+                self.component_of[self.bit[min(b.facts)].bit_length() - 1]
+                for b in blocks(self.db, self.sigma)
+                if b.size >= 2
+            )
+        return self._block_order
 
     def select(self, offsets: list[tuple[int, ...]], r: int) -> tuple[int, int]:
         """The r-th justified operation of a joint residual in canonical

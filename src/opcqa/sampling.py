@@ -12,6 +12,13 @@ stream each and any aggregate of trials is independent of scheduling.
 Categorical draws use exact integer thresholds (uniform 64-bit rejection
 below the largest multiple of n), never floating point, so the samplers
 hit their target distributions exactly, not merely approximately.
+
+Every sampler reads the conflict components of repairs._Space. Under
+primary keys those components are the blocks of two or more facts: the
+uniform-repair sampler draws one outcome per block in block order
+(relation, then key values), and the uniform-sequences sampler scans the
+conflict facts in fact order, so the order of the blocks never affects
+its draws.
 """
 
 from __future__ import annotations
@@ -19,11 +26,11 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .counting import _profile_count
 from .errors import UnsupportedCombinationError
-from .relational import Block, Database, Fact, FunctionalDependency, blocks, is_primary_keys
+from .relational import Database, FunctionalDependency, is_primary_keys
 from .repairs import GeneratorKind, Operation, RepairingSequence, _space
 
 __all__ = [
@@ -115,47 +122,6 @@ class SampleOutcome:
 # ---------------------------------------------------------------------------
 
 
-class _KeyBlocks(NamedTuple):
-    """The blocks of a primary-key instance."""
-
-    nontrivial: tuple[tuple[Fact, ...], ...]  # facts of each block of size >= 2, in block order
-    always: frozenset[Fact]  # facts kept unconditionally
-    facts: tuple[Fact, ...]  # the facts of the nontrivial blocks, in fact order
-    block: tuple[int, ...]  # the block of each of those facts
-    members: tuple[tuple[int, ...], ...]  # positions in facts of each block's facts
-    operations: dict[tuple[int, ...], Operation]  # by positions, made on first use
-
-    def operation(self, idx: tuple[int, ...]) -> Operation:
-        """The operation removing the facts at these positions, made once
-        per position tuple: at most one per fact and one per pair of a
-        block."""
-        op = self.operations.get(idx)
-        if op is None:
-            op = self.operations[idx] = Operation(frozenset(self.facts[i] for i in idx))
-        return op
-
-
-@lru_cache(maxsize=256)
-def _key_blocks(db: Database, sigma: frozenset[FunctionalDependency]) -> _KeyBlocks:
-    """The blocks of a primary-key instance. Raises for non-primary-key
-    FD sets."""
-    parts: list[Block] = blocks(db, sigma)
-    nontrivial = tuple(b.sorted_facts for b in parts if b.size >= 2)
-    always = frozenset(f for b in parts if b.size < 2 for f in b.facts)
-    conflict = sorted((f, b) for b, facts in enumerate(nontrivial) for f in facts)
-    members: list[list[int]] = [[] for _ in nontrivial]
-    for p, (_, b) in enumerate(conflict):
-        members[b].append(p)
-    return _KeyBlocks(
-        nontrivial,
-        always,
-        tuple(f for f, _ in conflict),
-        tuple(b for _, b in conflict),
-        tuple(map(tuple, members)),
-        {},
-    )
-
-
 def sample_repair_uniform(
     db: Database,
     sigma: Iterable[FunctionalDependency],
@@ -164,17 +130,22 @@ def sample_repair_uniform(
 ) -> Database:
     """Uniform candidate repair of a primary-key instance.
 
-    Every block of size m independently keeps one survivor or empties
-    (m+1 equally likely outcomes; m in singleton mode, where emptying is
-    unreachable). Draws happen in block order.
+    The conflict components are the blocks of two or more facts. Every
+    block of size m independently keeps one survivor or empties (m+1
+    equally likely outcomes; m in singleton mode, where emptying is
+    unreachable). Draws happen in block order (relation, then key
+    values; _Space.block_order), which differs from the order of the
+    blocks' first facts when the key is not the first column.
     """
-    kb = _key_blocks(db, frozenset(sigma))
-    kept = set(kb.always)
-    for facts in kb.nontrivial:
-        m = len(facts)
+    space = _space(db, frozenset(sigma))
+    comps, _ = space.components()
+    kept = set(space.untouched)
+    for c in space.block_order():
+        members = comps[c].facts
+        m = len(members)
         choice = rng.randbelow(m if singleton_only else m + 1)
         if choice < m:
-            kept.add(facts[choice])
+            kept.add(space.facts[members[choice]])
     return db._subset(frozenset(kept))
 
 
@@ -218,12 +189,14 @@ def sample_sequence_uniform(
     interleave in fact order (a key that is not the first column), so
     the scan follows the facts, not the blocks.
     """
-    kb = _key_blocks(db, frozenset(sigma))
-    block = kb.block
-    remaining = [list(ps) for ps in kb.members]
-    sizes = [len(ps) for ps in kb.members]
+    space = _space(db, frozenset(sigma))
+    space.block_order()  # raises unless the FDs are primary keys
+    comps, _ = space.components()
+    block = space.component_of
+    remaining = [list(comp.facts) for comp in comps]
+    sizes = [comp.n for comp in comps]
     profile = sorted(sizes)
-    order = list(range(len(block)))  # the facts still in an active block
+    order = list(range(space.n))  # the facts still in an active block
     path: list[tuple[int, ...]] = []
     while order:
         total, w1, w2 = _step_table(tuple(profile), singleton_only)
@@ -254,7 +227,7 @@ def sample_sequence_uniform(
             insort(profile, len(left))
         elif left:
             order.remove(left[0])
-    return RepairingSequence(tuple(kb.operation(idx) for idx in path))
+    return RepairingSequence(tuple(space.operation_of(idx) for idx in path))
 
 
 # ---------------------------------------------------------------------------

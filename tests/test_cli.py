@@ -512,7 +512,7 @@ def test_gen_fdlift(files, capsys, tmp_path):
     assert records[0]["probability"]["rational"] == "1/6"
 
 
-def test_gen_argument_errors(files, capsys):
+def test_gen_argument_errors(files, capsys, tmp_path):
     code, _, err = run(capsys, "gen", "--kind", "hcoloring", "--edges", "a-b")
     assert code == 2 and "--nodes" in err
     code, _, err = run(capsys, "gen", "--kind", "hcoloring", "--nodes", "a,b", "--edges", "ab")
@@ -525,6 +525,17 @@ def test_gen_argument_errors(files, capsys):
     triple = files("triple.json", TRIPLE_DOC)
     code, _, err = run(capsys, "gen", "--kind", "fdlift", "--input", triple)
     assert code == 2 and "keys" in err
+    # a file that cannot be written is a parse-level error, not a traceback
+    missing = tmp_path / "missing"
+    code, _, err = run(
+        capsys, "gen", "--kind", "fdstar", "--n", "3", "--out", str(missing / "x.json")
+    )
+    assert code == 2 and err.startswith("error:") and "x.json" in err
+    code, _, err = run(
+        capsys, "gen", "--kind", "fdstar", "--n", "3",
+        "--out", str(tmp_path / "star.json"), "--query-out", str(missing / "q.json"),
+    )
+    assert code == 2 and err.startswith("error:") and "q.json" in err
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +563,15 @@ def test_chain_dump_document(files, capsys, tmp_path):
 
     collect(doc["root"])
     assert pis == ["1/9"] * 9
+
+
+def test_chain_dump_unwritable_output_is_a_parse_error(files, capsys, tmp_path):
+    inst = files("triple.json", TRIPLE_DOC)
+    code, _, err = run(
+        capsys, "chain-dump", inst, "--generator", "us",
+        "--out", str(tmp_path / "missing" / "c.json"),
+    )
+    assert code == 2 and err.startswith("error:") and "c.json" in err
 
 
 def test_chain_dump_cap(files, capsys):

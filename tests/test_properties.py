@@ -31,7 +31,7 @@ from opcqa import (
     sequence_count_for_profile,
 )
 from opcqa.instances import gen_fd_star
-from opcqa.repairs import DEFAULT_TREE_CAP, _op_indices, _space
+from opcqa.repairs import DEFAULT_TREE_CAP, _Component, _op_indices, _space
 
 from bruteforce import (
     SWEEP_KEY,
@@ -183,7 +183,8 @@ INTERLEAVED = (wide_db_of([(0, 0, 0), (0, 0, 1), (1, 1, 0), (2, 1, 1)]), WIDE_FD
 def test_dag_children_are_the_justified_operations(instance, singleton_only):
     db, sigma = instance
     space = _space(db, sigma)
-    dag = space.dag(singleton_only, DEFAULT_TREE_CAP)
+    reference = _Component(tuple(range(space.n)), space.edges, (0,))
+    dag = reference.dag(singleton_only, DEFAULT_TREE_CAP)
     for i, mask in enumerate(dag.masks):
         ops = [space.operation_of(_op_indices(mask ^ dag.masks[c])) for c in dag.children(i)]
         assert ops == justified_ops(space.database_of(mask), sigma, singleton_only)
@@ -242,7 +243,8 @@ def assert_uo_matches_reference(db, sigma, singleton_only: bool) -> None:
     """repair_distribution for uo/uo1 against a Fraction forward pass over
     the whole instance's residual DAG."""
     space = _space(db, frozenset(sigma))
-    dag = space.dag(singleton_only, DEFAULT_TREE_CAP)
+    reference = _Component(tuple(range(space.n)), space.edges, (0,))
+    dag = reference.dag(singleton_only, DEFAULT_TREE_CAP)
     weight = uo_forward_reference(dag.masks, dag.starts, dag.kids)
     expected = {space.database_of(dag.masks[i]).facts: weight[i] for i in dag.leaf_positions()}
     dist = repair_distribution(db, sigma, UO1 if singleton_only else UO)

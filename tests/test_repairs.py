@@ -247,12 +247,14 @@ def test_exact_cap_counts_the_whole_instance():
     exactly when the whole instance has more residuals than the cap: the
     keyed instance's blocks of 3 and 2 facts each have fewer than its 8 x
     4 residuals (pairs) or 7 x 3 (singletons)."""
-    from opcqa.repairs import _space
+    from opcqa.repairs import _Component, _space
 
     db, sigma = keyed_instance()
     q = keyed_query()
+    space = _space(db, sigma)
+    whole = _Component(tuple(range(space.n)), space.edges, (0,))
     for kind in GENERATORS.values():
-        states = len(_space(db, sigma).dag(kind.singleton_only, DEFAULT_TREE_CAP).masks)
+        states = len(whole.dag(kind.singleton_only, DEFAULT_TREE_CAP).masks)
         assert states == (21 if kind.singleton_only else 32)
         for call in (
             lambda cap: exact_answer_probability(db, sigma, kind, q, ("b1",), cap=cap),
