@@ -31,7 +31,7 @@ from typing import Iterable
 from .counting import _profile_count
 from .errors import UnsupportedCombinationError
 from .relational import Database, FunctionalDependency, is_primary_keys
-from .repairs import GeneratorKind, Operation, RepairingSequence, _space
+from .repairs import GeneratorKind, RepairingSequence, _space
 
 __all__ = [
     "GOLDEN",
