@@ -82,11 +82,11 @@ def _load_json(path: str) -> Any:
         raise _fail(path, f"invalid JSON: {exc}") from exc
 
 
-def _write_json(path: str, document: Any, out) -> None:
-    """Print a JSON document to out when path is "-", else write it to the
-    file at path."""
+def _write_json(path: str, document: Any, out=None) -> None:
+    """Write a JSON document to the file at path, or print it to out when
+    one is given and path is "-"."""
     payload = json.dumps(document, indent=2)
-    if path == "-":
+    if out is not None and path == "-":
         print(payload, file=out)
         return
     try:
@@ -434,7 +434,7 @@ def cmd_gen(args, out) -> int:
 
     _write_json(args.out, dump_instance(db, sigma), out)
     if args.query_out:
-        _write_json(args.query_out, dump_query(query), out)
+        _write_json(args.query_out, dump_query(query))
     return 0
 
 

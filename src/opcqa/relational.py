@@ -256,19 +256,38 @@ def violations(db: Database, sigma: Iterable[FunctionalDependency]) -> Violation
     common consistent case stays near-linear instead of quadratic.
     """
     entries: set[tuple[FunctionalDependency, frozenset[Fact]]] = set()
-    for fd in _validated(db, sigma):
-        lhs_idx = fd.lhs_indices(db.schema)
-        rhs_idx = fd.rhs_indices(db.schema)
-        groups: dict[tuple[str, ...], list[Fact]] = {}
-        for f in db.facts_of(fd.relation):
-            groups.setdefault(tuple(f.values[i] for i in lhs_idx), []).append(f)
-        for group in groups.values():
-            if len(group) < 2:
-                continue
-            for f, g in combinations(group, 2):
-                if any(f.values[i] != g.values[i] for i in rhs_idx):
-                    entries.add((fd, frozenset((f, g))))
+    for fd, group in conflict_groups(db, sigma):
+        for (f, a), (g, b) in combinations(group, 2):
+            if a != b:
+                entries.add((fd, frozenset((f, g))))
     return ViolationSet(frozenset(entries))
+
+
+def conflict_groups(
+    db: Database, sigma: Iterable[FunctionalDependency]
+) -> list[tuple[FunctionalDependency, list[tuple[Fact, tuple[str, ...]]]]]:
+    """Per FD, each group of facts that agree on its left-hand side but not
+    all on its right-hand side, each fact with its right-hand projection.
+    Two facts conflict iff a group holds both with different projections,
+    so a group's facts are all in conflicts and connected; linear time.
+    """
+    out = []
+    for fd in _validated(db, sigma):
+        rhs_idx = fd.rhs_indices(db.schema)
+        for facts in _lhs_groups(db, fd).values():
+            group = [(f, tuple(f.values[i] for i in rhs_idx)) for f in facts]
+            if len({b for _, b in group}) > 1:
+                out.append((fd, group))
+    return out
+
+
+def _lhs_groups(db: Database, fd: FunctionalDependency) -> dict[tuple[str, ...], list[Fact]]:
+    """The facts of the FD's relation by their left-hand projection."""
+    lhs_idx = fd.lhs_indices(db.schema)
+    groups: dict[tuple[str, ...], list[Fact]] = {}
+    for f in db.facts_of(fd.relation):
+        groups.setdefault(tuple(f.values[i] for i in lhs_idx), []).append(f)
+    return groups
 
 
 def satisfies(db: Database, sigma: Iterable[FunctionalDependency]) -> bool:
@@ -349,10 +368,7 @@ def blocks(db: Database, sigma: Iterable[FunctionalDependency]) -> list[Block]:
                 Block(relation, f.values, frozenset((f,))) for f in facts
             )
             continue
-        lhs_idx = fd.lhs_indices(db.schema)
-        groups: dict[tuple[str, ...], list[Fact]] = {}
-        for f in facts:
-            groups.setdefault(tuple(f.values[i] for i in lhs_idx), []).append(f)
+        groups = _lhs_groups(db, fd)
         for key_values in sorted(groups):
             out.append(Block(relation, key_values, frozenset(groups[key_values])))
     return out

@@ -32,8 +32,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
+from functools import cached_property, lru_cache
+from itertools import combinations, product
 from math import lcm, prod
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple
@@ -47,6 +47,7 @@ from .relational import (
     FunctionalDependency,
     blocks,
     conflict_graph,
+    conflict_groups,
     is_nontrivially_connected,
     violations,
 )
@@ -234,27 +235,44 @@ def _check_cap(states: int, cap: int) -> None:
 
 class _Conflicts:
     """Facts 0..n-1 and their conflicting pairs as bitmasks, and the
-    justified operations of a residual."""
+    justified operations of a residual. The conflicts come as groups of
+    (fact, right-hand projection) by fact (relational.conflict_groups);
+    two facts conflict iff a group holds both with different projections.
+    The pairs, m(m-1)/2 for a group of m facts, and all made of them are
+    built on first use, so reading the facts and components lists none.
+    """
 
-    def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
+    def __init__(self, n: int, groups: tuple[tuple[tuple[int, tuple], ...], ...]):
         self.n = n
         self.full_mask = (1 << n) - 1
-        self.edges = edges
-        self.edge_masks: tuple[int, ...] = tuple((1 << i) | (1 << j) for i, j in edges)
-        # nbr[i]: the facts conflicting with fact i
-        self.nbr = [0] * n
-        for i, j in edges:
-            self.nbr[i] |= 1 << j
-            self.nbr[j] |= 1 << i
-        # A greedy matching of mu conflicting pairs gives at least 3^mu
-        # reachable residuals in either mode: each matched pair keeps both
-        # facts or loses either one, a deletion justified by its partner.
-        covered = 0
-        self.matching = 0
-        for em in self.edge_masks:
-            if not em & covered:
-                covered |= em
-                self.matching += 1
+        self.groups = groups
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The conflicting pairs (i, j), i < j, in order."""
+        pairs = (pair for g in self.groups for pair in combinations(g, 2))
+        return tuple(sorted({(i, j) for (i, a), (j, b) in pairs if a != b}))
+
+    @cached_property
+    def nbr(self) -> list[int]:
+        """nbr[i]: the facts conflicting with fact i."""
+        nbr = [0] * self.n
+        for i, j in self.edges:
+            nbr[i] |= 1 << j
+            nbr[j] |= 1 << i
+        return nbr
+
+    @cached_property
+    def matching(self) -> int:
+        """The size mu of a greedy matching of conflicting pairs: at least
+        3^mu residuals are reachable in either mode, as each matched pair
+        keeps both facts or loses either, justified by its partner."""
+        covered = mu = 0
+        for i, j in self.edges:
+            if not (1 << i | 1 << j) & covered:
+                covered |= 1 << i | 1 << j
+                mu += 1
+        return mu
 
     def justified(self, mask: int, singleton_only: bool) -> list[int]:
         """Masks of the justified operations of a residual, in canonical
@@ -295,29 +313,32 @@ class _Component(_Conflicts):
     a contiguous slice of the component's canonical list, and the
     instance's canonical list takes those slices run after run (see
     _Space.select). The residual DAG of each mode is built on first use
-    (dag).
+    (dag). The groups are in local indices.
     """
 
     def __init__(
         self,
         facts: tuple[int, ...],
-        edges: tuple[tuple[int, int], ...],
+        groups: tuple[tuple[tuple[int, tuple], ...], ...],
         run_starts: tuple[int, ...],
     ):
-        super().__init__(len(facts), edges)
+        super().__init__(len(facts), groups)
         self.facts = facts
         self.run_starts = run_starts
-        # one (_Space index tuple, local op mask) entry per operation, keyed
-        # by its mask, so that the tables below share entries instead of
-        # holding copies
-        self._entries = {1 << i: ((g,), 1 << i) for i, g in enumerate(facts)}
-        for (i, j), em in zip(edges, self.edge_masks):
-            self._entries[em] = ((facts[i], facts[j]), em)
         self._run_bits = tuple(1 << s for s in run_starts)
         # filled only when n <= _OPS_TABLE_LIMIT
         self._tables: tuple[dict, dict] = ({}, {})
         # the residual DAG of each mode, indexed by singleton_only
         self._dags: list[_Dag | None] = [None, None]
+
+    @cached_property
+    def _entries(self) -> dict[int, tuple[tuple[int, ...], int]]:
+        """One (_Space index tuple, local op mask) entry per operation,
+        keyed by its mask, so that the operation tables share entries."""
+        f = self.facts
+        entries = {1 << i: ((g,), 1 << i) for i, g in enumerate(f)}
+        entries.update({1 << i | 1 << j: ((f[i], f[j]), 1 << i | 1 << j) for i, j in self.edges})
+        return entries
 
     def ops(
         self, mask: int, singleton_only: bool
@@ -395,19 +416,18 @@ class _Space(_Conflicts):
     def __init__(self, db: Database, sigma: frozenset[FunctionalDependency]):
         self.db = db
         self.sigma = sigma
-        pairs = violations(db, sigma).pairs
-        involved = sorted({f for pair in pairs for f in pair})
-        self.facts: tuple[Fact, ...] = tuple(involved)
+        found = conflict_groups(db, sigma)
+        self.facts: tuple[Fact, ...] = tuple(sorted({f for _, g in found for f, _ in g}))
         index = {f: i for i, f in enumerate(self.facts)}
         self.bit: dict[Fact, int] = {f: 1 << i for f, i in index.items()}
         super().__init__(
             len(self.facts),
-            tuple(sorted(tuple(sorted(index[f] for f in pair)) for pair in pairs)),
+            tuple(tuple(sorted((index[f], b) for f, b in g)) for _, g in found),
         )
-        self.untouched: frozenset[Fact] = db.facts - frozenset(involved)
+        self.untouched: frozenset[Fact] = db.facts - frozenset(self.facts)
         self._split: tuple[tuple[_Component, ...], tuple[tuple[int, int], ...]] | None = None
         # component_of[i]: the component of conflict fact i, set by components()
-        self.component_of: list[int] = []
+        self.component_of: tuple[int, ...] = ()
         self._block_order: tuple[int, ...] | None = None
         self._operations: dict[tuple[int, ...], Operation] = {}
 
@@ -426,16 +446,20 @@ class _Space(_Conflicts):
                     i = parent[i]
                 return i
 
-            for i, j in self.edges:
-                parent[root(i)] = root(j)
+            # a group's facts are connected
+            for group in self.groups:
+                first = root(group[0][0])
+                for i, _ in group[1:]:
+                    parent[root(i)] = first
             number: dict[int, int] = {}
+            component_of: list[int] = []
             local = [0] * self.n
             members: list[list[int]] = []
             run_starts: list[list[int]] = []
             runs: list[tuple[int, int]] = []
             for i in range(self.n):
                 c = number.setdefault(root(i), len(members))
-                self.component_of.append(c)
+                component_of.append(c)
                 if c == len(members):
                     members.append([])
                     run_starts.append([])
@@ -444,13 +468,18 @@ class _Space(_Conflicts):
                     run_starts[c].append(len(members[c]))
                 local[i] = len(members[c])
                 members[c].append(i)
-            edges: list[list[tuple[int, int]]] = [[] for _ in members]
-            for i, j in self.edges:
-                edges[number[root(i)]].append((local[i], local[j]))
+            groups: list[list[tuple]] = [[] for _ in members]
+            for group in self.groups:
+                groups[component_of[group[0][0]]].append(
+                    tuple((local[i], b) for i, b in group)
+                )
             comps = tuple(
-                _Component(tuple(f), tuple(e), tuple(r))
-                for f, e, r in zip(members, edges, run_starts)
+                _Component(tuple(f), tuple(g), tuple(r))
+                for f, g, r in zip(members, groups, run_starts)
             )
+            # assigned whole, so that threads racing through a first call
+            # all leave the same state
+            self.component_of = tuple(component_of)
             self._split = (comps, tuple(runs))
         return self._split
 

@@ -31,7 +31,7 @@ from typing import Iterable
 from .counting import _profile_count
 from .errors import UnsupportedCombinationError
 from .relational import Database, FunctionalDependency, is_primary_keys
-from .repairs import GeneratorKind, RepairingSequence, _space
+from .repairs import UR, UR1, US, US1, GeneratorKind, RepairingSequence, _space
 
 __all__ = [
     "GOLDEN",
@@ -135,9 +135,12 @@ def sample_repair_uniform(
     equally likely outcomes; m in singleton mode, where emptying is
     unreachable). Draws happen in block order (relation, then key
     values; _Space.block_order), which differs from the order of the
-    blocks' first facts when the key is not the first column.
+    blocks' first facts when the key is not the first column. Raises
+    UnsupportedCombinationError unless the FDs are primary keys.
     """
-    space = _space(db, frozenset(sigma))
+    sigma = frozenset(sigma)
+    _require_sampler(db, sigma, UR1 if singleton_only else UR)
+    space = _space(db, sigma)
     comps, _ = space.components()
     kept = set(space.untouched)
     for c in space.block_order():
@@ -187,10 +190,12 @@ def sample_sequence_uniform(
     one scan of the remaining conflict facts in fact order, where fact f
     weighs w1[m] plus w2[m] per later fact of its block. Blocks may
     interleave in fact order (a key that is not the first column), so
-    the scan follows the facts, not the blocks.
+    the scan follows the facts, not the blocks. Raises
+    UnsupportedCombinationError unless the FDs are primary keys.
     """
-    space = _space(db, frozenset(sigma))
-    space.block_order()  # raises unless the FDs are primary keys
+    sigma = frozenset(sigma)
+    _require_sampler(db, sigma, US1 if singleton_only else US)
+    space = _space(db, sigma)
     comps, _ = space.components()
     block = space.component_of
     remaining = [list(comp.facts) for comp in comps]
@@ -293,7 +298,6 @@ def sample_outcome(
 ) -> SampleOutcome:
     """Draw once from the sampler matching the generator kind."""
     sigma = frozenset(sigma)
-    _require_sampler(db, sigma, kind)
     if kind.family == "ur":
         return SampleOutcome(sample_repair_uniform(db, sigma, rng, kind.singleton_only))
     if kind.family == "us":

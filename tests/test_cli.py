@@ -512,7 +512,7 @@ def test_gen_fdlift(files, capsys, tmp_path):
     assert records[0]["probability"]["rational"] == "1/6"
 
 
-def test_gen_argument_errors(files, capsys, tmp_path):
+def test_gen_argument_errors(files, capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "gen", "--kind", "hcoloring", "--edges", "a-b")
     assert code == 2 and "--nodes" in err
     code, _, err = run(capsys, "gen", "--kind", "hcoloring", "--nodes", "a,b", "--edges", "ab")
@@ -536,6 +536,11 @@ def test_gen_argument_errors(files, capsys, tmp_path):
         "--out", str(tmp_path / "star.json"), "--query-out", str(missing / "q.json"),
     )
     assert code == 2 and err.startswith("error:") and "q.json" in err
+    # --query-out names a file, "-" included; only --out prints to stdout
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "--kind", "fdstar", "--n", "3", "--query-out", "-"]) == 0
+    assert "schema" in json.loads(capsys.readouterr().out)
+    assert "atoms" in json.loads((tmp_path / "-").read_text())
 
 
 # ---------------------------------------------------------------------------

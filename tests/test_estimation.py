@@ -14,9 +14,12 @@ from opcqa import (
     UR1,
     US,
     US1,
+    Database,
     Estimate,
     EstimatorConfig,
+    FunctionalDependency,
     RandomSource,
+    Schema,
     SizeCapError,
     UnsupportedCombinationError,
     adaptive_success_quota,
@@ -26,6 +29,7 @@ from opcqa import (
     estimate_multiplicative,
     estimate_probability,
     exact_answer_probability,
+    fact,
     lower_bound,
     multiplicative_sample_count,
 )
@@ -418,6 +422,18 @@ def test_thread_count_does_not_change_results():
     multi = EstimatorConfig(epsilon=0.05, delta=0.05, mode="additive", threads=4)
     a = estimate_additive(db, sigma, UR, q, ("b1",), single, RandomSource(21))
     b = estimate_additive(db, sigma, UR, q, ("b1",), multi, RandomSource(21))
+    assert a.value == b.value and a.samples_used == b.samples_used
+
+
+def test_thread_count_does_not_change_us_results_on_a_fresh_instance():
+    # the threads build the instance's cached conflict view themselves
+    rows = [("a1", "b1"), ("a1", "b2"), ("a1", "b3"), ("a2", "b1"), ("a2", "b4"), ("a5", "b5")]
+    db = Database.of(Schema.of(R=("A1", "A2")), [fact("R", *row) for row in rows])
+    sigma = frozenset([FunctionalDependency.of("R", ("A1",), ("A2",))])
+    multi = EstimatorConfig(epsilon=0.05, delta=0.05, mode="additive", threads=4)
+    single = EstimatorConfig(epsilon=0.05, delta=0.05, mode="additive", threads=1)
+    b = estimate_additive(db, sigma, US, keyed_query(), ("b1",), multi, RandomSource(21))
+    a = estimate_additive(db, sigma, US, keyed_query(), ("b1",), single, RandomSource(21))
     assert a.value == b.value and a.samples_used == b.samples_used
 
 

@@ -183,7 +183,7 @@ INTERLEAVED = (wide_db_of([(0, 0, 0), (0, 0, 1), (1, 1, 0), (2, 1, 1)]), WIDE_FD
 def test_dag_children_are_the_justified_operations(instance, singleton_only):
     db, sigma = instance
     space = _space(db, sigma)
-    reference = _Component(tuple(range(space.n)), space.edges, (0,))
+    reference = _Component(tuple(range(space.n)), space.groups, (0,))
     dag = reference.dag(singleton_only, DEFAULT_TREE_CAP)
     for i, mask in enumerate(dag.masks):
         ops = [space.operation_of(_op_indices(mask ^ dag.masks[c])) for c in dag.children(i)]
@@ -243,7 +243,7 @@ def assert_uo_matches_reference(db, sigma, singleton_only: bool) -> None:
     """repair_distribution for uo/uo1 against a Fraction forward pass over
     the whole instance's residual DAG."""
     space = _space(db, frozenset(sigma))
-    reference = _Component(tuple(range(space.n)), space.edges, (0,))
+    reference = _Component(tuple(range(space.n)), space.groups, (0,))
     dag = reference.dag(singleton_only, DEFAULT_TREE_CAP)
     weight = uo_forward_reference(dag.masks, dag.starts, dag.kids)
     expected = {space.database_of(dag.masks[i]).facts: weight[i] for i in dag.leaf_positions()}

@@ -252,7 +252,7 @@ def test_exact_cap_counts_the_whole_instance():
     db, sigma = keyed_instance()
     q = keyed_query()
     space = _space(db, sigma)
-    whole = _Component(tuple(range(space.n)), space.edges, (0,))
+    whole = _Component(tuple(range(space.n)), space.groups, (0,))
     for kind in GENERATORS.values():
         states = len(whole.dag(kind.singleton_only, DEFAULT_TREE_CAP).masks)
         assert states == (21 if kind.singleton_only else 32)

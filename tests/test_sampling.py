@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -25,7 +27,7 @@ from opcqa import (
     fact,
 )
 
-from opcqa.repairs import _space
+from opcqa.repairs import _space, _Space
 from opcqa.sampling import mix64
 
 from fixtures import (
@@ -414,6 +416,58 @@ def test_sample_outcome_routing():
     out = sample_outcome(db, sigma, UO, rng)
     assert out.sequence is not None
     out.sequence.validate(db, sigma)
+
+
+def test_ur_us_samplers_reject_beyond_primary_keys():
+    db, sigma = triple_instance()
+    for singleton_only in (False, True):
+        with pytest.raises(UnsupportedCombinationError):
+            sample_repair_uniform(db, sigma, RandomSource(1), singleton_only)
+        with pytest.raises(UnsupportedCombinationError):
+            sample_sequence_uniform(db, sigma, RandomSource(1), singleton_only)
+
+
+def test_ur_draws_on_a_large_block_list_no_pairs():
+    # one block of 2,000 facts has about two million conflicting pairs;
+    # the ur and us samplers read only the components
+    m = 2000
+    db = Database.of(Schema.of(R=("K", "V")), [fact("R", "k", f"v{i}") for i in range(m)])
+    sigma = frozenset([FunctionalDependency.of("R", ("K",), ("V",))])
+    for seed in range(3):
+        for kind in (UR, UR1):
+            assert len(sample_outcome(db, sigma, kind, RandomSource(seed)).repair.facts) <= 1
+    space = _space(db, sigma)
+    assert space.n == m and [c.n for c in space.components()[0]] == [m]
+    assert "edges" not in vars(space)
+    assert all("edges" not in vars(c) for c in space.components()[0])
+
+
+def test_components_are_built_once_under_racing_threads():
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for make in (ladder_instance, interleaved_instance, second_column_instance):
+            for _ in range(20):
+                _check_racing_components(make)
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def _check_racing_components(make):
+    want = _Space(*make()).components()
+    space = _Space(*make())
+    barrier = threading.Barrier(4, timeout=30)
+    threads = [threading.Thread(target=lambda: (barrier.wait(), space.components())) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+        assert not t.is_alive()
+    assert len(space.component_of) == space.n
+    comps, runs = space.components()
+    assert runs == want[1]
+    assert [c.facts for c in comps] == [c.facts for c in want[0]]
+    assert [c.edges for c in comps] == [c.edges for c in want[0]]
 
 
 def test_sample_outcome_rejects_ur_us_beyond_primary_keys():
