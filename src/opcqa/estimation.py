@@ -9,16 +9,18 @@ Three modes:
   relative error eps with no prior bound needed.
 
 Every estimate is a pure function of (instance, query, config, master
-seed): trial t consumes RandomSource stream (seed, base + t) and nothing
-else, so thread counts and batch sizes cannot change the result.
+seed): trial t consumes RandomSource stream (seed, t) and nothing else,
+so thread counts and batch sizes cannot change the result. All three
+estimators run their trials through one driver (_trials), in chunks of
+_CHUNK trials, on a thread pool when config.threads > 1.
 
 Hot loops run on a numpy fast path when the instance shape allows:
 uniform-operations walks, one residual DAG per conflict component, on
 instances of at most 16 conflict facts or whose components have at most
 10 facts each (and whose 2^facts add up to at most 2^16), or
-uniform-repair draws under primary keys. The fast paths replicate the
-scalar RNG bit for bit; tests assert equality against the pure-Python
-sampler.
+uniform-repair draws under primary keys. The fast paths draw through
+sampling._Lanes, which replicates the scalar RNG bit for bit; tests
+assert equality against the pure-Python sampler.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .errors import SizeCapError, UnsupportedCombinationError
 from .queries import ConjunctiveQuery, witnesses
 from .relational import Database, FunctionalDependency, is_keys, is_primary_keys
 from .repairs import GeneratorKind, _space
-from .sampling import GOLDEN, STREAM, RandomSource, _require_sampler, sample_outcome
+from .sampling import RandomSource, _Lanes, _require_sampler, sample_outcome
 
 __all__ = [
     "E_OVER",
@@ -57,8 +59,6 @@ __all__ = [
 E_OVER = Fraction(2_718_281_828_459_046, 10**15)
 
 MODES = ("additive", "multiplicative_bound", "adaptive")
-
-_M64 = (1 << 64) - 1
 
 
 def _as_rational(x) -> Fraction:
@@ -216,30 +216,15 @@ def adaptive_success_quota(epsilon: Fraction, delta: Fraction) -> int:
 # An indicator stream turns trial indices into 0/1 outcomes: trial t
 # draws from RandomSource(seed, base + t) and reports whether the sampled
 # repair entails the answer. The scalar stream is the reference; the
-# vector streams reproduce its draws exactly (same SplitMix64 outputs,
-# same rejection rule, same consumption order). Every stream evaluates
-# the query once, on the full database, and tests a repair by whether it
-# keeps one of the answer's witnesses.
+# vector streams draw trial t on lane t of sampling._Lanes(seed, base,
+# count), which consumes as RandomSource does, so they reproduce its draws
+# exactly. Every stream evaluates the query once, on the full database,
+# and tests a repair by whether it keeps one of the answer's witnesses.
 
 _CHUNK = 1 << 16
 _VECTOR_MASK_LIMIT = 16  # conflict facts; see _component_dags
 _VECTOR_COMPONENT_LIMIT = 10  # facts per component beyond that
 _LANE_CELLS = 1 << 21  # lanes times runs walked at once by the vector walk
-
-
-def _mix64_array(x: np.ndarray) -> np.ndarray:
-    x = x.astype(np.uint64, copy=True)
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
-    return x
-
-
-def _stream_bases(seed: int, base: int, count: int) -> np.ndarray:
-    streams = np.uint64(base & _M64) + np.arange(count, dtype=np.uint64)
-    return _mix64_array(np.uint64(seed & _M64) + np.uint64(STREAM) * streams)
 
 
 class _ScalarStream:
@@ -322,8 +307,8 @@ class _UoWalkStream:
 
     The components' cached DAGs are numbered one after another, and each
     lane holds one position per component. A step draws r below the
-    lane's operation count, summed over the components, with the exact
-    64-bit rejection rule of RandomSource.randbelow, and takes the r-th
+    lane's operation count, summed over the components
+    (_Lanes.randbelow_each), and takes the r-th
     operation by the rule of repairs._Space.select, on the run offsets
     of _Component.ops, here shifted to positions in the joint child
     array. A lane's repair answers when it keeps a witness (_Witnesses,
@@ -363,15 +348,6 @@ class _UoWalkStream:
         self._roots = base[:-1] + np.asarray([dag.root for dag in dags], dtype=np.int64)
         self._run_comp = np.asarray([c for c, _ in runs], dtype=np.int64)
         self._run_local = np.asarray([j for _, j in runs], dtype=np.int64)
-
-        # the root has every operation a lane can meet
-        max_ops = sum(len(dag.children(dag.root)) for dag in dags)
-        rems = [(1 << 64) % c if c else 0 for c in range(max_ops + 1)]
-        self._limit = np.asarray(
-            [((1 << 64) - r) & _M64 for r in rems], dtype=np.uint64
-        )
-        self._accept_all = np.asarray([r == 0 for r in rems], dtype=bool)
-
         self._witnesses = _Witnesses(space, q, answer, masks)
         self.witnessed = self._witnesses.witnessed
 
@@ -383,9 +359,8 @@ class _UoWalkStream:
             return np.concatenate(
                 [self.batch(seed, base + i, min(lanes, count - i)) for i in range(0, count, lanes)]
             )
-        bases = _stream_bases(seed, base, count)
+        source = _Lanes(seed, base, count)
         ids = np.repeat(self._roots[:, None], count, axis=1)
-        drawn = np.zeros(count, dtype=np.uint64)
         live = np.arange(count) if self._run_comp.size else np.arange(0)
         while live.size:
             nodes = ids[self._run_comp[:, None], live]
@@ -396,18 +371,7 @@ class _UoWalkStream:
                 live, begin, cum = live[walking], begin[:, walking], cum[:, walking]
                 if not live.size:
                     break
-            bounds = cum[-1]
-            r = np.empty(live.size, dtype=np.int64)
-            pending = np.arange(live.size)
-            while pending.size:
-                lanes = live[pending]
-                drawn[lanes] += np.uint64(1)
-                u = _mix64_array(bases[lanes] + drawn[lanes] * np.uint64(GOLDEN))
-                b = bounds[pending]
-                ok = self._accept_all[b] | (u < self._limit[b])
-                sel = (u % b.astype(np.uint64)).astype(np.int64)
-                r[pending[ok]] = sel[ok]
-                pending = pending[~ok]
+            r = source.randbelow_each(live, cum[-1])
             run = (cum <= r).sum(axis=0)
             lane = np.arange(live.size)
             passed = np.where(run > 0, cum[np.maximum(run - 1, 0), lane], 0)
@@ -419,10 +383,10 @@ class _UrBlockStream:
     """Vectorized uniform-repair draws under primary keys, where the
     conflict components are the blocks of two or more facts: one
     categorical draw per block per lane, in block order
-    (_Space.block_order), with the exact 64-bit rejection rule of
-    RandomSource.randbelow. Choice i of a block keeps its i-th fact, and
+    (_Space.block_order). Choice i of a block keeps its i-th fact, and
     in pair mode its last choice empties it; only the choices of blocks
-    some witness touches are kept, as one array per block."""
+    some witness touches are computed (_Lanes.randbelow), as one array
+    per block; the other blocks' draws are only consumed."""
 
     def __init__(self, space, kind, q, answer):
         comps, _ = space.components()
@@ -439,25 +403,9 @@ class _UrBlockStream:
         if self._witnesses.always:
             return np.ones(count, dtype=np.uint8)
         touched = self._witnesses.touched
-        bases = _stream_bases(seed, base, count)
-        drawn = np.zeros(count, dtype=np.uint64)
-        choices: dict[int, np.ndarray] = {}
-        for c, n in self._draws:
-            drawn += np.uint64(1)
-            u = _mix64_array(bases + drawn * np.uint64(GOLDEN))
-            rem = (1 << 64) % n
-            if rem:
-                limit = np.uint64((1 << 64) - rem)
-                pending = np.nonzero(u >= limit)[0]
-                while pending.size:
-                    drawn[pending] += np.uint64(1)
-                    redraw = _mix64_array(
-                        bases[pending] + drawn[pending] * np.uint64(GOLDEN)
-                    )
-                    u[pending] = redraw
-                    pending = pending[redraw >= limit]
-            if c in touched:
-                choices[c] = (u % np.uint64(n)).astype(np.int64)
+        source = _Lanes(seed, base, count)
+        # in block order; None for the blocks no witness touches
+        choices = {c: source.randbelow(n, keep=c in touched) for c, n in self._draws}
         return self._witnesses.hits(choices, count)
 
 
@@ -493,22 +441,16 @@ def _indicator_stream(db, sigma, kind, q, answer):
     return _ScalarStream(db, sigma, kind, q, answer)
 
 
-def _run_chunks(stream, seed: int, total: int, threads: int):
-    """Yield (start, indicator array) per chunk, in order."""
-    starts = range(0, total, _CHUNK)
-    sizes = [min(_CHUNK, total - s) for s in starts]
+def _trials(stream, seed: int, first: int, total: int, threads: int):
+    """The indicator arrays of trials first .. first + total - 1, in
+    order, in chunks of _CHUNK trials: drawn one by one as they are read,
+    or all at once on a pool of threads when threads > 1."""
+    end = first + total
+    chunks = [(start, min(_CHUNK, end - start)) for start in range(first, end, _CHUNK)]
     if threads <= 1:
-        for start, size in zip(starts, sizes):
-            yield start, stream.batch(seed, start, size)
-        return
+        return (stream.batch(seed, *chunk) for chunk in chunks)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = pool.map(lambda sc: stream.batch(seed, sc[0], sc[1]), zip(starts, sizes))
-        yield from zip(starts, results)
-
-
-def _count_successes(stream, seed: int, total: int, threads: int) -> int:
-    return sum(int(arr.sum()) for _, arr in _run_chunks(stream, seed, total, threads))
-
+        return list(pool.map(lambda chunk: stream.batch(seed, *chunk), chunks))
 
 # ---------------------------------------------------------------------------
 # Estimators
@@ -532,7 +474,7 @@ def estimate_additive(
             f"additive mode needs {n} samples, over the cap {config.max_samples}"
         )
     stream = _indicator_stream(db, sigma, kind, q, c)
-    hits = _count_successes(stream, rng.seed, n, config.threads)
+    hits = sum(int(arr.sum()) for arr in _trials(stream, rng.seed, 0, n, config.threads))
     return Estimate(Fraction(hits, n), n, "additive")
 
 
@@ -565,7 +507,7 @@ def estimate_multiplicative(
             f"{config.max_samples}; adaptive mode avoids the prior bound"
         )
     stream = _indicator_stream(db, sigma, kind, q, c)
-    hits = _count_successes(stream, rng.seed, n, config.threads)
+    hits = sum(int(arr.sum()) for arr in _trials(stream, rng.seed, 0, n, config.threads))
     return Estimate(
         Fraction(hits, n), n, "multiplicative_bound", bound, flagged_zero=hits == 0
     )
@@ -598,36 +540,17 @@ def estimate_adaptive(
     batch = quota  # fewer draws cannot meet the quota
     while drawn < config.max_samples:
         size = min(batch, config.max_samples - drawn)
-        arr = (
-            stream.batch(rng.seed, drawn, size)
-            if config.threads <= 1 or size < _CHUNK
-            else np.concatenate(
-                [a for _, a in _run_chunks(_Shifted(stream, drawn), rng.seed, size, config.threads)]
-            )
-        )
-        in_batch = int(arr.sum())
-        if hits + in_batch >= quota:
-            positions = np.cumsum(arr)
-            stop = int(np.searchsorted(positions, quota - hits, side="left"))
-            used = drawn + stop + 1
-            return Estimate(Fraction(quota, used), used, "adaptive")
-        hits += in_batch
-        drawn += size
+        for arr in _trials(stream, rng.seed, drawn, size, config.threads):
+            in_chunk = int(arr.sum())
+            if hits + in_chunk >= quota:
+                used = drawn + 1 + int(np.searchsorted(np.cumsum(arr), quota - hits))
+                return Estimate(Fraction(quota, used), used, "adaptive")
+            hits += in_chunk
+            drawn += arr.size
         batch = min(batch * 2, 1 << 18)
     return Estimate(
         Fraction(hits, drawn), drawn, "adaptive", flagged_zero=True
     )
-
-
-class _Shifted:
-    """View of an indicator stream with all trial indices offset."""
-
-    def __init__(self, stream, offset: int):
-        self._stream = stream
-        self._offset = offset
-
-    def batch(self, seed: int, base: int, count: int) -> np.ndarray:
-        return self._stream.batch(seed, self._offset + base, count)
 
 
 _ESTIMATORS = {

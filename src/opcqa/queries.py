@@ -150,17 +150,24 @@ def _extensions(
         atom.relation: db.facts_of(atom.relation) for atom in q.atoms
     }
 
-    def extend(i: int, binding: dict[Variable, str], chosen: tuple[Fact, ...]):
-        if i == len(q.atoms):
-            yield binding, chosen
-            return
-        atom = q.atoms[i]
-        for f in by_relation[atom.relation]:
-            ext = _match(atom, f, binding)
-            if ext is not None:
-                yield from extend(i + 1, ext, chosen + (f,))
+    def extend():
+        # depth first on an explicit stack, one (binding, chosen facts,
+        # candidates left) frame per atom being matched: no recursion
+        stack = [(seed, (), iter(by_relation[q.atoms[0].relation]))]
+        while stack:
+            binding, chosen, candidates = stack[-1]
+            depth = len(stack)
+            for f in candidates:
+                ext = _match(q.atoms[depth - 1], f, binding)
+                if ext is not None and depth == len(q.atoms):
+                    yield ext, chosen + (f,)
+                elif ext is not None:
+                    stack.append((ext, chosen + (f,), iter(by_relation[q.atoms[depth].relation])))
+                    break
+            else:
+                stack.pop()
 
-    return extend(0, seed, ())
+    return extend()
 
 
 def homomorphisms(q: ConjunctiveQuery, db: Database) -> Iterator[Homomorphism]:
@@ -213,15 +220,15 @@ def _minimal_sets(sets: Iterable[frozenset[Fact]]) -> tuple[frozenset[Fact], ...
 
 
 def witness_masks(
-    witness_sets: Iterable[frozenset[Fact]], bit: Mapping[Fact, int]
+    witness_sets: Iterable[frozenset[Fact]], index: Mapping[Fact, int]
 ) -> tuple[int, ...]:
     """Witnesses as bitmasks over an indexing of the facts that a repair
-    may delete, minimal ones only, smallest first.
+    may delete (fact f is bit index[f]), minimal ones only, smallest first.
 
-    Facts without a bit survive in every repair, so they drop out; an
+    Facts without an index survive in every repair, so they drop out; an
     empty mask means the answer holds in every repair.
     """
-    masks = {sum(bit.get(f, 0) for f in w) for w in witness_sets}
+    masks = {sum(1 << index[f] for f in w if f in index) for w in witness_sets}
     kept: list[int] = []
     for m in sorted(masks, key=lambda m: (m.bit_count(), m)):
         if not any(k & m == k for k in kept):

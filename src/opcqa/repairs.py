@@ -418,11 +418,11 @@ class _Space(_Conflicts):
         self.sigma = sigma
         found = conflict_groups(db, sigma)
         self.facts: tuple[Fact, ...] = tuple(sorted({f for _, g in found for f, _ in g}))
-        index = {f: i for i, f in enumerate(self.facts)}
-        self.bit: dict[Fact, int] = {f: 1 << i for f, i in index.items()}
+        # index[f]: f's position among the conflict facts, its bit in a mask
+        self.index: dict[Fact, int] = {f: i for i, f in enumerate(self.facts)}
         super().__init__(
             len(self.facts),
-            tuple(tuple(sorted((index[f], b) for f, b in g)) for _, g in found),
+            tuple(tuple(sorted((self.index[f], b) for f, b in g)) for _, g in found),
         )
         self.untouched: frozenset[Fact] = db.facts - frozenset(self.facts)
         self._split: tuple[tuple[_Component, ...], tuple[tuple[int, int], ...]] | None = None
@@ -490,7 +490,7 @@ class _Space(_Conflicts):
         if self._block_order is None:
             self.components()
             self._block_order = tuple(
-                self.component_of[self.bit[min(b.facts)].bit_length() - 1]
+                self.component_of[self.index[min(b.facts)]]
                 for b in blocks(self.db, self.sigma)
                 if b.size >= 2
             )
@@ -510,14 +510,10 @@ class _Space(_Conflicts):
         raise IndexError(r)
 
     def mask_of(self, facts: Iterable[Fact]) -> int | None:
-        """Mask of conflict facts, or None if one of them is in no conflict."""
-        out = 0
-        for f in facts:
-            b = self.bit.get(f)
-            if b is None:
-                return None
-            out |= b
-        return out
+        """Mask of distinct conflict facts, or None if one of them is in no
+        conflict."""
+        found = [self.index.get(f) for f in facts]
+        return None if None in found else sum(1 << i for i in found)
 
     def answer_masks(
         self, q: ConjunctiveQuery, answer: tuple[str, ...] | None = None
@@ -526,7 +522,7 @@ class _Space(_Conflicts):
         the conflict facts (see queries.witness_masks); only the given
         answer's when one is given."""
         return {
-            c: witness_masks(found, self.bit)
+            c: witness_masks(found, self.index)
             for c, found in witnesses(q, self.db, answer).items()
         }
 

@@ -13,6 +13,11 @@ Categorical draws use exact integer thresholds (uniform 64-bit rejection
 below the largest multiple of n), never floating point, so the samplers
 hit their target distributions exactly, not merely approximately.
 
+The numpy side of the contract is _Lanes: lane i of _Lanes(seed, base,
+count) is stream (seed, base + i), and its randbelow draws and redraws
+exactly as RandomSource.randbelow does, for all lanes in one array
+operation. The estimators' vector streams draw only through it.
+
 Every sampler reads the conflict components of repairs._Space. Under
 primary keys those components are the blocks of two or more facts: the
 uniform-repair sampler draws one outcome per block in block order
@@ -27,6 +32,8 @@ from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
+
+import numpy as np
 
 from .counting import _profile_count
 from .errors import UnsupportedCombinationError
@@ -106,6 +113,69 @@ class RandomSource:
 
     def spawn(self, offset: int) -> "RandomSource":
         return RandomSource(self.seed, self.stream_index + offset)
+
+
+def _mix64_array(x: np.ndarray) -> np.ndarray:
+    """mix64 of each element of a uint64 array, into a new array."""
+    x = x ^ (x >> np.uint64(30))
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+class _Lanes:
+    """count streams at once: lane i is RandomSource(seed, base + i), and
+    each draw consumes on its lanes exactly what RandomSource.randbelow
+    consumes. Bounds are below 2^63."""
+
+    __slots__ = ("_state",)
+
+    def __init__(self, seed: int, base: int, count: int):
+        streams = np.uint64(base & _M64) + np.arange(count, dtype=np.uint64)
+        self._state = _mix64_array(np.uint64(seed & _M64) + np.uint64(STREAM) * streams)
+
+    def randbelow(self, n: int, keep: bool = True) -> np.ndarray | None:
+        """Per lane, a uniform integer in [0, n), as an int64 array. With
+        keep False the draws are only consumed, and not even computed when
+        n divides 2^64, so that no draw is rejected."""
+        if n == 1:
+            return np.zeros(self._state.size, dtype=np.int64) if keep else None
+        self._state += np.uint64(GOLDEN)
+        rem = (1 << 64) % n
+        if not (rem or keep):
+            return None
+        u = _mix64_array(self._state)
+        top = np.uint64(_M64 - rem)  # the largest output below 2^64 - rem
+        pending = np.flatnonzero(u > top) if rem else []
+        while len(pending):
+            self._state[pending] += np.uint64(GOLDEN)
+            u[pending] = _mix64_array(self._state[pending])
+            pending = pending[u[pending] > top]
+        return (u % np.uint64(n)).astype(np.int64) if keep else None
+
+    def randbelow_each(self, lanes: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+        """For each j, a uniform integer in [0, bounds[j]) drawn on lane
+        lanes[j], as an int64 array; the lanes are distinct."""
+        b = bounds.astype(np.uint64)
+        if (b == 1).any():  # a bound of 1 consumes nothing
+            out, drawn = np.zeros(lanes.size, dtype=np.int64), b > 1
+            out[drawn] = self.randbelow_each(lanes[drawn], bounds[drawn])
+            return out
+        self._state[lanes] += np.uint64(GOLDEN)
+        u = _mix64_array(self._state[lanes])
+        r = u % b
+        # u lies at or above the largest multiple of b under 2^64 exactly
+        # when the multiple u - r leaves less than b below 2^64
+        pending = np.flatnonzero(u - r > -b)
+        while pending.size:
+            at = lanes[pending]
+            self._state[at] += np.uint64(GOLDEN)
+            redraw = _mix64_array(self._state[at])
+            left = b[pending]
+            r[pending] = redraw % left
+            pending = pending[redraw - r[pending] > -left]
+        return r.astype(np.int64)
 
 
 @dataclass(frozen=True)

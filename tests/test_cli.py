@@ -150,6 +150,20 @@ def test_exact_all_answers_lists_every_tuple_like_single_tuples(files, capsys):
             assert single == record
 
 
+def test_exact_on_a_1500_atom_query(files, capsys):
+    # a long query matches atom by atom without recursion
+    inst = files("keyed.json", KEYED_DOC)
+    one = files("q.json", OPEN_QUERY_DOC)
+    long = files("long.json", dict(OPEN_QUERY_DOC, atoms=OPEN_QUERY_DOC["atoms"] * 1500))
+    for generator in ("ur", "ur1", "us", "us1", "uo", "uo1"):
+        argv = ("--generator", generator, "--tuple", "b1")
+        code, want, _ = run(capsys, "exact", inst, one, *argv)
+        assert code == 0
+        code, got, _ = run(capsys, "exact", inst, long, *argv)
+        assert code == 0, generator
+        assert got[0]["probability"] == want[0]["probability"], generator
+
+
 def test_exact_boolean_query(files, capsys):
     inst = files("keyed.json", KEYED_DOC)
     query = files("bq.json", BOOLEAN_QUERY_DOC)
@@ -379,6 +393,19 @@ def test_approx_exit_codes(files, capsys):
         "--eps", "0.05", "--delta", "0.05", "--mode", "multiplicative",
     )
     assert code == 4
+    # --tuple must match the query head
+    boolean_q = files("bq.json", BOOLEAN_QUERY_DOC)
+    for q, extra, message in (
+        (boolean_q, ["--tuple", "b1"], "Boolean queries take no --tuple"),
+        (open_q, [], "non-Boolean query: pass --tuple"),
+        (open_q, ["--tuple", "b1,b2"], "--tuple carries 2 values, query needs 1"),
+    ):
+        code, _, err = run(
+            capsys, "approx", keyed, q, "--generator", "ur",
+            "--eps", "0.1", "--delta", "0.1", "--mode", "additive", *extra,
+        )
+        assert code == 2 and err.startswith("error: ") and message in err, message
+        assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +640,61 @@ def test_malformed_inputs(files, capsys, tmp_path):
     inst = files("fdkeys.json", extra_fd_key)
     code, _, _ = run(capsys, "exact", inst, query, "--generator", "ur")
     assert code == 2
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    code, _, err = run(capsys, "exact", str(deep), query, "--generator", "ur")
+    assert code == 2 and err.startswith(f"error: {deep}: invalid JSON: ") and "recursion" in err
+    fd = {"relation": "R", "lhs": ["A1"], "rhs": ["A2"]}
+    bad_instances = [
+        (["R"], "top-level JSON object expected"),
+        (dict(KEYED_DOC, schema=[]), "schema: non-empty object expected"),
+        (dict(KEYED_DOC, schema={"R": "A1"}), "schema.R: expected a list of strings"),
+        (dict(KEYED_DOC, schema={"R": ["A1", "A1"]}), "repeats an attribute name"),
+        (dict(KEYED_DOC, facts={}), "facts: list expected"),
+        (dict(KEYED_DOC, facts=[["R", "a1", 2]]), "facts[0]: expected a list of strings"),
+        (dict(KEYED_DOC, facts=[[]]), "facts[0]: relation name missing"),
+        (dict(KEYED_DOC, facts=[["S", "a1", "b1"]]), "unknown relation 'S'"),
+        (dict(KEYED_DOC, fds={}), "fds: list expected"),
+        (dict(KEYED_DOC, fds=[dict(fd, relation=1)]), "relation name must be a string"),
+        (dict(KEYED_DOC, fds=[dict(fd, lhs="A1")]), "fds[0].lhs: expected a list of strings"),
+        (dict(KEYED_DOC, fds=[dict(fd, rhs=["Z"])]), "unknown attributes ['Z']"),
+        (dict(KEYED_DOC, fds=[dict(fd, relation="S")]), "unknown relation 'S'"),
+    ]
+    atom = OPEN_QUERY_DOC["atoms"][0]
+    bad_queries = [
+        ([], "top-level JSON object expected"),
+        (dict(OPEN_QUERY_DOC, answer_vars="x"), "answer_vars: expected a list of strings"),
+        (dict(OPEN_QUERY_DOC, atoms=[]), "atoms: non-empty list expected"),
+        (dict(OPEN_QUERY_DOC, atoms=[{"terms": []}]), "atoms[0]: relation name missing"),
+        (dict(OPEN_QUERY_DOC, atoms=[dict(atom, terms="x")]), "atoms[0]: terms: list expected"),
+        (
+            dict(OPEN_QUERY_DOC, atoms=[dict(atom, terms=[{"const": "a1", "var": "x"}])]),
+            "atoms[0].terms[0]: single-key object",
+        ),
+        (
+            dict(OPEN_QUERY_DOC, atoms=[dict(atom, terms=[{"const": 1}, {"var": "x"}])]),
+            "atoms[0].terms[0]: term value must be a string",
+        ),
+        (
+            dict(OPEN_QUERY_DOC, atoms=[dict(atom, terms=[{"val": "a1"}, {"var": "x"}])]),
+            "atoms[0].terms[0]: unknown term tag 'val'",
+        ),
+        (dict(OPEN_QUERY_DOC, answer_vars=["y"]), "do not occur in the body"),
+    ]
+    keyed = files("keyed.json", KEYED_DOC)
+    cases = [
+        (files(f"inst{i}.json", doc), query, message)
+        for i, (doc, message) in enumerate(bad_instances)
+    ]
+    cases += [
+        (keyed, files(f"query{i}.json", doc), message)
+        for i, (doc, message) in enumerate(bad_queries)
+    ]
+    for inst, q, message in cases:
+        code, _, err = run(capsys, "exact", inst, q, "--generator", "ur", "--tuple", "b1")
+        bad = inst if q == query else q
+        assert code == 2 and err.startswith(f"error: {bad}: ") and message in err, message
+        assert "Traceback" not in err
 
 
 def test_load_dump_round_trip_of_fixture_instances(tmp_path):

@@ -363,6 +363,31 @@ def test_vectorized_streams_match_scalar_reference():
         assert np.array_equal(got, want), kind.label
 
 
+def test_vector_streams_redraw_like_the_scalar_reference(monkeypatch):
+    from opcqa import Atom, ConjunctiveQuery, Constant, Variable, sampling
+
+    # every output among the top 64 values, so a bound n (kept below 64, or
+    # the walk never ends) is redrawn with odds (2^64 mod n) / 64
+    top = 0xFFFF_FFFF_FFFF_FFC0
+    mix, mix_array = sampling.mix64, sampling._mix64_array
+    monkeypatch.setattr(sampling, "mix64", lambda x: mix(x) | top)
+    monkeypatch.setattr(sampling, "_mix64_array", lambda x: mix_array(x) | np.uint64(top))
+    ladder_db, ladder_sigma = ladder_instance()
+    ladder_q = ConjunctiveQuery(
+        (Atom("R", (Constant("k1"), Variable("x"))),), (Variable("x"),)
+    )
+    keyed_db, keyed_sigma = keyed_instance()
+    for db, sigma, q, answer in (
+        (ladder_db, ladder_sigma, ladder_q, ("v0",)),
+        (keyed_db, keyed_sigma, keyed_query(), ("b1",)),
+    ):
+        for kind in (UR, UR1, UO, UO1):
+            fast = _indicator_stream(db, frozenset(sigma), kind, q, answer)
+            assert not isinstance(fast, _ScalarStream), kind.label
+            want = _ScalarStream(db, frozenset(sigma), kind, q, answer).batch(97, 10, 400)
+            assert np.array_equal(fast.batch(97, 10, 400), want), kind.label
+
+
 def test_uo_stream_routing_by_component_size():
     from opcqa import Atom, ConjunctiveQuery, Constant, Database, fact
     from opcqa.estimation import _UoWalkStream
@@ -415,7 +440,9 @@ def test_stream_indicators_match_entailment_per_draw():
         assert got.tolist() == want, kind.label
 
 
-def test_thread_count_does_not_change_results():
+def test_thread_count_does_not_change_results(monkeypatch):
+    from opcqa import estimation
+
     db, sigma = keyed_instance()
     q = keyed_query()
     single = EstimatorConfig(epsilon=0.05, delta=0.05, mode="additive", threads=1)
@@ -423,6 +450,17 @@ def test_thread_count_does_not_change_results():
     a = estimate_additive(db, sigma, UR, q, ("b1",), single, RandomSource(21))
     b = estimate_additive(db, sigma, UR, q, ("b1",), multi, RandomSource(21))
     assert a.value == b.value and a.samples_used == b.samples_used
+    # in chunks of 50 trials every run spans many chunks, adaptive batches too
+    plans = [(kind, mode) for kind in (UR, UO, US) for mode in ("additive", "adaptive")]
+
+    def estimate(kind, mode, threads):
+        cfg = EstimatorConfig(epsilon=0.1, delta=0.05, mode=mode, threads=threads)
+        return estimate_probability(db, sigma, kind, q, ("b1",), cfg, RandomSource(8))
+
+    want = [estimate(kind, mode, 1) for kind, mode in plans]
+    monkeypatch.setattr(estimation, "_CHUNK", 50)
+    for threads in (1, 3):
+        assert [estimate(kind, mode, threads) for kind, mode in plans] == want, threads
 
 
 def test_thread_count_does_not_change_us_results_on_a_fresh_instance():

@@ -96,6 +96,28 @@ def test_randbelow_beyond_word_size():
     assert max(draws) > 2**64  # astronomically unlikely to fail
 
 
+def test_lanes_draw_as_their_random_sources():
+    import numpy as np
+
+    from opcqa.sampling import _Lanes
+
+    big = (1 << 64) // 3 + 1  # 2^64 mod big is big - 2: a third of outputs redrawn
+    lanes = _Lanes(11, 5, 40)
+    refs = [RandomSource(11, 5 + i) for i in range(40)]
+    for n in (3, 1, big, 4, 7):
+        for keep in (True, False):
+            got = lanes.randbelow(n, keep)
+            want = [rng.randbelow(n) for rng in refs]
+            assert got.tolist() == want if keep else got is None
+    some = np.arange(0, 40, 3)
+    for bounds in ([2, 1, big, 5, 64] * 3, [big] * 15, [2, 3] * 8):
+        bounds = np.asarray(bounds[: some.size], dtype=np.int64)
+        want = [refs[i].randbelow(int(b)) for i, b in zip(some, bounds)]
+        assert lanes.randbelow_each(some, bounds).tolist() == want
+    # every lane has consumed exactly what its reference has
+    assert lanes.randbelow(big).tolist() == [rng.randbelow(big) for rng in refs]
+
+
 # ---------------------------------------------------------------------------
 # Samplers: validity of every draw
 # ---------------------------------------------------------------------------

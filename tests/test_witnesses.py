@@ -119,11 +119,11 @@ def test_repeated_head_variable_needs_equal_values():
 
 
 def test_witness_masks_drop_facts_outside_conflicts():
-    bit = {F1: 1, F2: 2}
-    # F3 has no bit: it survives in every repair and drops out
-    assert witness_masks([frozenset({F1, F3}), frozenset({F1, F2})], bit) == (1,)
-    assert witness_masks([frozenset({F3})], bit) == (0,)
-    assert witness_masks([], bit) == ()
+    index = {F1: 0, F2: 1}
+    # F3 has no index: it survives in every repair and drops out
+    assert witness_masks([frozenset({F1, F3}), frozenset({F1, F2})], index) == (1,)
+    assert witness_masks([frozenset({F3})], index) == (0,)
+    assert witness_masks([], index) == ()
 
 
 def test_answer_probabilities_cover_witnessed_tuples_only():
