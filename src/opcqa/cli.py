@@ -78,7 +78,7 @@ def _load_json(path: str) -> Any:
             return json.load(handle)
     except OSError as exc:
         raise _fail(path, f"cannot read: {exc.strerror or exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deeply
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply
         raise _fail(path, f"invalid JSON: {exc}") from exc
 
 

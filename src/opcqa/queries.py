@@ -146,23 +146,25 @@ def _extensions(
     for var, value in zip(q.answer_variables, answer or ()):
         if seed.setdefault(var, value) != value:
             return iter(())  # a repeated head variable asked for two values
-    by_relation = {
-        atom.relation: db.facts_of(atom.relation) for atom in q.atoms
-    }
+    facts = {r: db.facts_of(r) for r in {atom.relation for atom in q.atoms}}
+    candidates = [facts[atom.relation] for atom in q.atoms]  # per atom
 
     def extend():
         # depth first on an explicit stack, one (binding, chosen facts,
-        # candidates left) frame per atom being matched: no recursion
-        stack = [(seed, (), iter(by_relation[q.atoms[0].relation]))]
+        # candidate facts left) frame per atom being matched: no recursion
+        stack = [(seed, (), iter(candidates[0]))]
         while stack:
-            binding, chosen, candidates = stack[-1]
-            depth = len(stack)
-            for f in candidates:
-                ext = _match(q.atoms[depth - 1], f, binding)
-                if ext is not None and depth == len(q.atoms):
+            binding, chosen, left = stack[-1]
+            atom = q.atoms[len(stack) - 1]
+            last = len(stack) == len(q.atoms)
+            for f in left:
+                ext = _match(atom, f, binding)
+                if ext is None:
+                    continue
+                if last:
                     yield ext, chosen + (f,)
-                elif ext is not None:
-                    stack.append((ext, chosen + (f,), iter(by_relation[q.atoms[depth].relation])))
+                else:
+                    stack.append((ext, chosen + (f,), iter(candidates[len(stack)])))
                     break
             else:
                 stack.pop()

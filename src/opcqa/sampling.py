@@ -125,9 +125,9 @@ def _mix64_array(x: np.ndarray) -> np.ndarray:
 
 
 class _Lanes:
-    """count streams at once: lane i is RandomSource(seed, base + i), and
-    each draw consumes on its lanes exactly what RandomSource.randbelow
-    consumes. Bounds are below 2^63."""
+    """Many streams at once: lane i of _Lanes(seed, base, count) is
+    RandomSource(seed, base + i), and each draw consumes on its lanes
+    exactly what RandomSource.randbelow consumes. Bounds are below 2^63."""
 
     __slots__ = ("_state",)
 
@@ -146,7 +146,7 @@ class _Lanes:
         if not (rem or keep):
             return None
         u = _mix64_array(self._state)
-        top = np.uint64(_M64 - rem)  # the largest output below 2^64 - rem
+        top = np.uint64(_M64 - rem)  # the largest accepted output
         pending = np.flatnonzero(u > top) if rem else []
         while len(pending):
             self._state[pending] += np.uint64(GOLDEN)
