@@ -11,8 +11,8 @@ Three modes:
 Every estimate is a pure function of (instance, query, config, master
 seed): trial t consumes RandomSource stream (seed, t) and nothing else,
 so thread counts and batch sizes cannot change the result. All three
-estimators run their trials through one driver (_trials), in chunks of
-_CHUNK trials, on a thread pool when config.threads > 1.
+estimators draw their trials through one function (_trials), in chunks
+of _CHUNK trials, on a thread pool when config.threads > 1.
 
 Hot loops run on a numpy fast path when the instance shape allows:
 uniform-operations walks, one residual DAG per conflict component, on
