@@ -8,11 +8,11 @@ Three modes:
 * adaptive: sequential stopping rule (run until a fixed success quota),
   relative error eps with no prior bound needed.
 
-Every estimate is a pure function of (instance, query, config, master
-seed): trial t consumes RandomSource stream (seed, t) and nothing else,
-so thread counts and batch sizes cannot change the result. All three
-estimators draw their trials through one function (_trials), in chunks
-of _CHUNK trials, on a thread pool when config.threads > 1.
+Every estimate is a pure function of (instance, query, config, seed,
+stream index k): trial t consumes RandomSource stream (seed, k + t) and
+nothing else, so thread counts and batch sizes cannot change the result.
+All three estimators draw their trials through one function (_trials),
+in chunks of _CHUNK trials, on a thread pool when config.threads > 1.
 
 Hot loops run on a numpy fast path when the instance shape allows:
 uniform-operations walks, one residual DAG per conflict component, on
@@ -166,19 +166,9 @@ def _uo_keys_polynomial(
     k = q.atom_count()
     qs = k * len(sigma)
     size = db.encoded_size
-    root = math.isqrt(size)
-    if root * root < size:
-        root += 1
-    outer = (
-        Fraction(math.factorial((qs + k + 1) ** 2))
-        * E_OVER ** (5 * qs)
-        * Fraction(root + 5 * qs) ** (5 * qs)
-    )
-    inner = (
-        (E_OVER * k) ** (k + 2)
-        * (E_OVER * (d + k - 1)) ** k
-        * (E_OVER * (d - 1)) ** k
-    )
+    root = math.isqrt(size - 1) + 1  # the ceiling of sqrt(size)
+    outer = math.factorial((qs + k + 1) ** 2) * (E_OVER * (root + 5 * qs)) ** (5 * qs)
+    inner = (E_OVER * k) ** (k + 2) * (E_OVER * E_OVER * (d + k - 1) * (d - 1)) ** k
     return 1 + outer * inner
 
 
@@ -187,10 +177,18 @@ def _uo_keys_polynomial(
 # ---------------------------------------------------------------------------
 
 
+def _log_two_over(delta: Fraction) -> float:
+    """ln(2/delta); from delta's numerator and denominator where the float
+    2/delta is out of range, since math.log is exact on big ints."""
+    d = float(delta)
+    if d and 2 / d < math.inf:
+        return math.log(2 / d)
+    return math.log(2) + math.log(delta.denominator) - math.log(delta.numerator)
+
+
 def additive_sample_count(epsilon: Fraction, delta: Fraction) -> int:
     """Hoeffding: N = ceil(ln(2/delta) / (2 eps^2))."""
-    log_term = Fraction(math.log(2 / float(delta)))
-    return math.ceil(log_term / (2 * epsilon * epsilon))
+    return math.ceil(Fraction(_log_two_over(delta)) / (2 * epsilon * epsilon))
 
 
 def multiplicative_sample_count(epsilon: Fraction, delta: Fraction, bound: Fraction) -> int:
@@ -199,14 +197,12 @@ def multiplicative_sample_count(epsilon: Fraction, delta: Fraction, bound: Fract
     correct (astronomically large) integer."""
     if bound <= 0:
         raise ValueError("lower bound must be positive")
-    log_term = Fraction(3 * math.log(2 / float(delta)))
-    return math.ceil(log_term / (epsilon * epsilon * bound))
+    return math.ceil(Fraction(3 * _log_two_over(delta)) / (epsilon * epsilon * bound))
 
 
 def adaptive_success_quota(epsilon: Fraction, delta: Fraction) -> int:
     """Stopping-rule quota: ceil(1 + 4(e-2) ln(2/delta) / eps^2)."""
-    log_term = Fraction(4 * (math.e - 2) * math.log(2 / float(delta)))
-    return math.ceil(1 + log_term / (epsilon * epsilon))
+    return math.ceil(1 + Fraction(4 * (math.e - 2) * _log_two_over(delta)) / (epsilon * epsilon))
 
 
 # ---------------------------------------------------------------------------
@@ -441,16 +437,18 @@ def _indicator_stream(db, sigma, kind, q, answer):
     return _ScalarStream(db, sigma, kind, q, answer)
 
 
-def _trials(stream, seed: int, first: int, total: int, threads: int):
+def _trials(stream, rng: RandomSource, first: int, total: int, threads: int):
     """The indicator arrays of trials first .. first + total - 1, in
-    order, in chunks of _CHUNK trials: drawn one by one as they are read,
-    or all at once on a pool of threads when threads > 1."""
-    end = first + total
-    chunks = [(start, min(_CHUNK, end - start)) for start in range(first, end, _CHUNK)]
+    order, trial t on stream (rng.seed, rng.stream_index + t), in chunks
+    of _CHUNK trials: drawn one by one as they are read, or all at once on
+    a pool of threads when threads > 1."""
+    start = rng.stream_index + first
+    end = start + total
+    chunks = [(base, min(_CHUNK, end - base)) for base in range(start, end, _CHUNK)]
     if threads <= 1:
-        return (stream.batch(seed, *chunk) for chunk in chunks)
+        return (stream.batch(rng.seed, *chunk) for chunk in chunks)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda chunk: stream.batch(seed, *chunk), chunks))
+        return list(pool.map(lambda chunk: stream.batch(rng.seed, *chunk), chunks))
 
 # ---------------------------------------------------------------------------
 # Estimators
@@ -474,7 +472,7 @@ def estimate_additive(
             f"additive mode needs {n} samples, over the cap {config.max_samples}"
         )
     stream = _indicator_stream(db, sigma, kind, q, c)
-    hits = sum(int(arr.sum()) for arr in _trials(stream, rng.seed, 0, n, config.threads))
+    hits = sum(int(arr.sum()) for arr in _trials(stream, rng, 0, n, config.threads))
     return Estimate(Fraction(hits, n), n, "additive")
 
 
@@ -507,7 +505,7 @@ def estimate_multiplicative(
             f"{config.max_samples}; adaptive mode avoids the prior bound"
         )
     stream = _indicator_stream(db, sigma, kind, q, c)
-    hits = sum(int(arr.sum()) for arr in _trials(stream, rng.seed, 0, n, config.threads))
+    hits = sum(int(arr.sum()) for arr in _trials(stream, rng, 0, n, config.threads))
     return Estimate(
         Fraction(hits, n), n, "multiplicative_bound", bound, flagged_zero=hits == 0
     )
@@ -540,7 +538,7 @@ def estimate_adaptive(
     batch = quota  # fewer draws cannot meet the quota
     while drawn < config.max_samples:
         size = min(batch, config.max_samples - drawn)
-        for arr in _trials(stream, rng.seed, drawn, size, config.threads):
+        for arr in _trials(stream, rng, drawn, size, config.threads):
             in_chunk = int(arr.sum())
             if hits + in_chunk >= quota:
                 used = drawn + 1 + int(np.searchsorted(np.cumsum(arr), quota - hits))
@@ -548,9 +546,7 @@ def estimate_adaptive(
             hits += in_chunk
             drawn += arr.size
         batch = min(batch * 2, 1 << 18)
-    return Estimate(
-        Fraction(hits, drawn), drawn, "adaptive", flagged_zero=True
-    )
+    return Estimate(Fraction(hits, drawn), drawn, "adaptive", flagged_zero=True)
 
 
 _ESTIMATORS = {

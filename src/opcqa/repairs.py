@@ -32,8 +32,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from itertools import combinations, product
+from functools import cached_property, lru_cache, partial
+from itertools import product
 from math import lcm, prod
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple
@@ -234,12 +234,12 @@ def _check_cap(states: int, cap: int) -> None:
 
 
 class _Conflicts:
-    """Facts 0..n-1 and their conflicting pairs as bitmasks, and the
-    justified operations of a residual. The conflicts come as groups of
-    (fact, right-hand projection) by fact (relational.conflict_groups);
-    two facts conflict iff a group holds both with different projections.
-    The pairs, m(m-1)/2 for a group of m facts, and all made of them are
-    built on first use, so reading the facts and components lists none.
+    """Facts 0..n-1, the facts each one conflicts with as a bitmask, and
+    the justified operations of a residual. The conflicts come as groups
+    of (fact, right-hand projection) (relational.conflict_groups); two
+    facts conflict iff a group holds both with different projections.
+    The masks, and all made of them, are built on first use, so reading
+    the facts and components builds none and no pair is ever listed.
     """
 
     def __init__(self, n: int, groups: tuple[tuple[tuple[int, tuple], ...], ...]):
@@ -248,29 +248,30 @@ class _Conflicts:
         self.groups = groups
 
     @cached_property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """The conflicting pairs (i, j), i < j, in order."""
-        pairs = (pair for g in self.groups for pair in combinations(g, 2))
-        return tuple(sorted({(i, j) for (i, a), (j, b) in pairs if a != b}))
-
-    @cached_property
     def nbr(self) -> list[int]:
-        """nbr[i]: the facts conflicting with fact i."""
+        """nbr[i]: the facts conflicting with fact i, per group its members
+        less those of i's projection."""
         nbr = [0] * self.n
-        for i, j in self.edges:
-            nbr[i] |= 1 << j
-            nbr[j] |= 1 << i
+        for group in self.groups:
+            same: dict[tuple, int] = {}
+            for i, b in group:
+                same[b] = same.get(b, 0) | 1 << i
+            members = sum(same.values())
+            for i, b in group:
+                nbr[i] |= members & ~same[b]
         return nbr
 
     @cached_property
     def matching(self) -> int:
-        """The size mu of a greedy matching of conflicting pairs: at least
-        3^mu residuals are reachable in either mode, as each matched pair
-        keeps both facts or loses either, justified by its partner."""
+        """The size mu of a greedy matching, each uncovered fact in order
+        taking its lowest uncovered later neighbour: at least 3^mu
+        residuals are reachable in either mode, as each matched pair keeps
+        both facts or loses either, justified by its partner."""
         covered = mu = 0
-        for i, j in self.edges:
-            if not (1 << i | 1 << j) & covered:
-                covered |= 1 << i | 1 << j
+        for i, row in enumerate(self.nbr):
+            free = 0 if covered >> i & 1 else row & ~covered & -(2 << i)
+            if free:
+                covered |= 1 << i | free & -free
                 mu += 1
         return mu
 
@@ -300,6 +301,11 @@ class _Conflicts:
 # A component of at most this many facts keeps the operations of every
 # local residual a walk visits: at most 2^16 masks per mode.
 _OPS_TABLE_LIMIT = 16
+
+
+def _op_entry(facts: tuple[int, ...], om: int) -> tuple[tuple[int, ...], int]:
+    """The (_Space index tuple, local op mask) entry of an operation."""
+    return tuple(facts[i] for i in _op_indices(om)), om
 
 
 class _Component(_Conflicts):
@@ -332,13 +338,9 @@ class _Component(_Conflicts):
         self._dags: list[_Dag | None] = [None, None]
 
     @cached_property
-    def _entries(self) -> dict[int, tuple[tuple[int, ...], int]]:
-        """One (_Space index tuple, local op mask) entry per operation,
-        keyed by its mask, so that the operation tables share entries."""
-        f = self.facts
-        entries = {1 << i: ((g,), 1 << i) for i, g in enumerate(f)}
-        entries.update({1 << i | 1 << j: ((f[i], f[j]), 1 << i | 1 << j) for i, j in self.edges})
-        return entries
+    def _entry(self):
+        """Each operation's entry (see _op_entry), made once for all tables."""
+        return lru_cache(maxsize=None)(partial(_op_entry, self.facts))
 
     def ops(
         self, mask: int, singleton_only: bool
@@ -355,7 +357,7 @@ class _Component(_Conflicts):
             # an operation's lowest bit is its first fact
             firsts = [om & -om for om in found]
             offsets = tuple(bisect_left(firsts, b) for b in self._run_bits)
-            hit = (tuple(map(self._entries.__getitem__, found)), offsets + (len(found),))
+            hit = (tuple(map(self._entry, found)), offsets + (len(found),))
             if self.n <= _OPS_TABLE_LIMIT:
                 table[mask] = hit
         return hit
@@ -411,6 +413,7 @@ class _Space(_Conflicts):
     Facts outside every violating pair can never be deleted, so they are
     split off once and re-attached when a residual is reified. Masks have
     bit i set when the i-th conflict fact (in canonical order) is present.
+    The groups are in indices, in no particular order.
     """
 
     def __init__(self, db: Database, sigma: frozenset[FunctionalDependency]):
@@ -422,7 +425,7 @@ class _Space(_Conflicts):
         self.index: dict[Fact, int] = {f: i for i, f in enumerate(self.facts)}
         super().__init__(
             len(self.facts),
-            tuple(tuple(sorted((self.index[f], b) for f, b in g)) for _, g in found),
+            tuple(tuple((self.index[f], b) for f, b in g) for _, g in found),
         )
         self.untouched: frozenset[Fact] = db.facts - frozenset(self.facts)
         self._split: tuple[tuple[_Component, ...], tuple[tuple[int, int], ...]] | None = None
@@ -547,11 +550,12 @@ def _space(db: Database, sigma: frozenset[FunctionalDependency]) -> _Space:
 def _capped_dags(space: _Space, singleton_only: bool, cap: int) -> list[_Dag]:
     """The residual DAG of each connected component of the conflict graph.
     Fails exactly when the instance has more than cap residuals, the
-    product of its components' counts: up front when a matching proves
-    it, during a component's walk once that component alone passes the
-    cap, and otherwise on the product."""
-    _check_cap(3**space.matching, cap)
-    dags = [comp.dag(singleton_only, cap) for comp in space.components()[0]]
+    product of its components' counts: up front when their matchings
+    prove it, during a component's walk once that component alone passes
+    the cap, and otherwise on the product."""
+    comps, _ = space.components()
+    _check_cap(3 ** sum(comp.matching for comp in comps), cap)
+    dags = [comp.dag(singleton_only, cap) for comp in comps]
     _check_cap(prod(len(dag.masks) for dag in dags), cap)
     return dags
 

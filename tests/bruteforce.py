@@ -49,6 +49,18 @@ def bf_violating_pairs(
     return out
 
 
+def greedy_matching(pairs) -> int:
+    """Size of the matching that takes each pair (i, j), in sorted order,
+    when neither end is taken yet."""
+    taken: set = set()
+    size = 0
+    for i, j in sorted(pairs):
+        if i not in taken and j not in taken:
+            taken |= {i, j}
+            size += 1
+    return size
+
+
 def bf_justified_ops(
     facts: frozenset[Fact], sigma, schema: Schema, singleton_only: bool = False
 ) -> list[frozenset[Fact]]:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
@@ -406,6 +408,20 @@ def test_approx_exit_codes(files, capsys):
         )
         assert code == 2 and err.startswith("error: ") and message in err, message
         assert "Traceback" not in err
+    # a delta below the smallest float takes ln(2/delta) from its numerator
+    # and denominator
+    for delta in ("1e-320", "1e-400"):
+        exact = Fraction(delta)
+        log_term = math.log(2) + math.log(exact.denominator) - math.log(exact.numerator)
+        for mode in ("additive", "adaptive"):
+            code, records, err = run(
+                capsys, "approx", keyed, open_q, "--generator", "ur",
+                "--eps", "0.1", "--delta", delta, "--mode", mode, "--tuple", "b1",
+            )
+            assert code == 0 and "Traceback" not in err, (delta, mode)
+            if mode == "additive":
+                (record,) = records
+                assert record["samples_used"] == math.ceil(Fraction(log_term) / (2 * Fraction(1, 10) ** 2))
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,41 @@ def test_additive_estimate_hits_its_error_budget():
     assert rerun.value == est.value
 
 
+def test_estimators_start_at_the_stream_index():
+    """Trial t of an estimate seeded with (s, k) draws stream (s, k + t)."""
+    db, sigma = keyed_instance()
+    q = keyed_query()
+    cfg = EstimatorConfig(epsilon=0.1, delta=0.05, mode="additive")
+    est = estimate_additive(db, sigma, UR, q, ("b1",), cfg, RandomSource(7, 3))
+    want = _ScalarStream(db, frozenset(sigma), UR, q, ("b1",)).batch(7, 3, est.samples_used)
+    assert est.value == Fraction(int(want.sum()), est.samples_used)
+    assert est != estimate_additive(db, sigma, UR, q, ("b1",), cfg, RandomSource(7, 0))
+    cfg = EstimatorConfig(epsilon=0.2, delta=0.1, mode="adaptive")
+    est = estimate_adaptive(db, sigma, UR, q, ("b1",), cfg, RandomSource(7, 3))
+    want = _ScalarStream(db, frozenset(sigma), UR, q, ("b1",)).batch(7, 3, est.samples_used)
+    quota = adaptive_success_quota(cfg.epsilon, cfg.delta)
+    assert int(want.sum()) == quota and want[-1] == 1
+
+
+def test_certain_answers_hold_on_every_stream():
+    """R(a2, b1) is the lone fact of a size-1 block: its only witness
+    lies outside every conflict, so every repair keeps it."""
+    from opcqa import Atom, ConjunctiveQuery, Constant
+
+    db, sigma = keyed_instance()
+    q = ConjunctiveQuery((Atom("R", (Constant("a2"), Constant("b1"))),))
+    for kind in (UR, UR1, UO, UO1):
+        fast = _indicator_stream(db, frozenset(sigma), kind, q, ())
+        assert not isinstance(fast, _ScalarStream), kind.label
+        got = fast.batch(11, 2, 300)
+        assert got.tolist() == [1] * 300, kind.label
+        want = _ScalarStream(db, frozenset(sigma), kind, q, ()).batch(11, 2, 300)
+        assert np.array_equal(got, want), kind.label
+        for mode in ("additive", "adaptive"):
+            cfg = EstimatorConfig(epsilon=0.1, delta=0.05, mode=mode)
+            assert estimate_probability(db, sigma, kind, q, (), cfg).value == 1, (kind, mode)
+
+
 def test_multiplicative_estimate_frozen_seed_one():
     db, sigma = keyed_instance()
     cfg = EstimatorConfig(epsilon=0.05, delta=0.05, mode="multiplicative_bound")

@@ -29,6 +29,7 @@ from opcqa import (
     satisfies,
     sequence_count,
     sequence_count_for_profile,
+    violations,
 )
 from opcqa.instances import gen_fd_star
 from opcqa.repairs import DEFAULT_TREE_CAP, _Component, _op_indices, _space
@@ -39,6 +40,7 @@ from bruteforce import (
     SWEEP_TWO_KEYS,
     WIDE_FDS,
     WIDE_SCHEMA,
+    greedy_matching,
     justified_ops_sequences,
     uo_forward_reference,
 )
@@ -206,6 +208,42 @@ def test_dag_children_are_the_justified_operations(instance, singleton_only):
             assert list(map(space.operation_of, picked)) == justified_ops(
                 joint, sigma, singleton_only
             )
+
+
+def _masks_of(n: int, pairs) -> list[int]:
+    masks = [0] * n
+    for i, j in pairs:
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+    return masks
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+        min_size=2,
+        max_size=24,
+        unique=True,
+    )
+)
+@example(((0, 0, 0), (0, 0, 1), (1, 1, 0), (2, 1, 1)))
+@settings(max_examples=100, deadline=None)
+def test_neighbour_masks_and_matchings_follow_the_violating_pairs(rows):
+    """The masks built from the FD groups are the conflict relation of the
+    violating pairs, for the whole instance and each component, and the
+    matching is the greedy one over those pairs in sorted order."""
+    db = wide_db_of(rows)
+    space = _space(db, WIDE_FDS)
+    pairs = [sorted(space.index[f] for f in pair) for pair in violations(db, WIDE_FDS).pairs]
+    assert space.nbr == _masks_of(space.n, pairs)
+    assert space.matching == greedy_matching(map(tuple, pairs))
+    comps, _ = space.components()
+    for comp in comps:
+        local = {g: i for i, g in enumerate(comp.facts)}
+        mine = [(local[i], local[j]) for i, j in pairs if i in local]
+        assert comp.nbr == _masks_of(comp.n, mine)
+        assert comp.matching == greedy_matching(mine)
+    assert space.matching == sum(comp.matching for comp in comps)
 
 
 keyed_instances = block_profiles.map(lambda sizes: (keyed_db_of(sizes), SWEEP_KEY))

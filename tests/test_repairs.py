@@ -57,6 +57,7 @@ from fixtures import (
     keyed_boolean_query,
     keyed_instance,
     keyed_query,
+    ladder_instance,
     triple_instance,
     two_key_path_instance,
 )
@@ -240,6 +241,34 @@ def test_ladder_over_the_cap_fails_before_walking():
         for singleton_only in (False, True):
             with pytest.raises(SizeCapError):
                 count(db, KEYED_FDS, singleton_only=singleton_only)
+
+
+def test_cap_refuses_a_large_key_block_without_listing_pairs():
+    """One key block of 3,000 facts has 4.5M conflicting pairs and over
+    3^1500 residuals; the cap refuses it from the neighbour masks of its
+    FD group, cold and in little memory."""
+    import tracemalloc
+
+    from opcqa.repairs import _space
+
+    db, sigma = ladder_instance(1, 3000)
+    calls = {
+        "sequence_count": lambda: sequence_count(db, sigma),
+        "candidate_repairs": lambda: candidate_repairs(db, sigma),
+        "exact_answer_probability": lambda: exact_answer_probability(
+            db, sigma, UO, keyed_boolean_query()
+        ),
+    }
+    for name, call in calls.items():
+        _space.cache_clear()
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeCapError):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"{name}: {peak / 2**20:.1f} MB peak"
 
 
 def test_exact_cap_counts_the_whole_instance():

@@ -451,7 +451,8 @@ def test_ur_us_samplers_reject_beyond_primary_keys():
 
 def test_ur_draws_on_a_large_block_list_no_pairs():
     # one block of 2,000 facts has about two million conflicting pairs;
-    # the ur and us samplers read only the components
+    # the ur and us samplers read only the components, not even the
+    # neighbour masks, m^2/8 bytes for a block of m facts
     m = 2000
     db = Database.of(Schema.of(R=("K", "V")), [fact("R", "k", f"v{i}") for i in range(m)])
     sigma = frozenset([FunctionalDependency.of("R", ("K",), ("V",))])
@@ -460,8 +461,8 @@ def test_ur_draws_on_a_large_block_list_no_pairs():
             assert len(sample_outcome(db, sigma, kind, RandomSource(seed)).repair.facts) <= 1
     space = _space(db, sigma)
     assert space.n == m and [c.n for c in space.components()[0]] == [m]
-    assert "edges" not in vars(space)
-    assert all("edges" not in vars(c) for c in space.components()[0])
+    assert "nbr" not in vars(space)
+    assert all("nbr" not in vars(c) for c in space.components()[0])
 
 
 def test_components_are_built_once_under_racing_threads():
@@ -489,7 +490,7 @@ def _check_racing_components(make):
     comps, runs = space.components()
     assert runs == want[1]
     assert [c.facts for c in comps] == [c.facts for c in want[0]]
-    assert [c.edges for c in comps] == [c.edges for c in want[0]]
+    assert [c.nbr for c in comps] == [c.nbr for c in want[0]]
 
 
 def test_sample_outcome_rejects_ur_us_beyond_primary_keys():
