@@ -1062,12 +1062,12 @@ def _probability(tables: list[_Table], masks: tuple[int, ...]) -> Fraction:
     numerator = 0
     stack = [(0, start, (1 << len(masks)) - 1)]
     while stack:
-        d, partial, alive = stack.pop()
+        d, so_far, alive = stack.pop()
         for kill, w in zip(kills[d], touched[d].weights):
             live = alive & ~kill
             if not live:
                 continue
-            weight = w if partial is unit else combine(partial, w)
+            weight = w if so_far is unit else combine(so_far, w)
             if live & ends[d]:  # a witness is kept whatever follows
                 after = rest[d + 1]
                 numerator += value(weight if after is unit else combine(weight, after))
