@@ -10,14 +10,11 @@ estimation.
 """
 
 from .counting import (
-    BlockProfile,
     SequenceCountTable,
     block_seq_count,
     build_sequence_count_table,
     count_candidate_repairs,
-    count_candidate_repairs_singleton,
     count_complete_sequences,
-    count_complete_sequences_singleton,
     sequence_count_for_profile,
 )
 from .errors import (
@@ -33,9 +30,6 @@ from .estimation import (
     EstimatorConfig,
     adaptive_success_quota,
     additive_sample_count,
-    estimate_adaptive,
-    estimate_additive,
-    estimate_multiplicative,
     estimate_probability,
     lower_bound,
     multiplicative_sample_count,

@@ -32,12 +32,7 @@ from .errors import (
     SizeCapError,
     UnsupportedCombinationError,
 )
-from .counting import (
-    count_candidate_repairs,
-    count_candidate_repairs_singleton,
-    count_complete_sequences,
-    count_complete_sequences_singleton,
-)
+from .counting import count_candidate_repairs, count_complete_sequences
 from .estimation import EstimatorConfig, estimate_probability
 from .instances import (
     Pos2DNF,
@@ -300,17 +295,16 @@ def cmd_count(args, out) -> int:
     db, sigma = load_instance(args.instance)
     start = time.perf_counter()
     single = args.what.endswith("1")
+    repairs = args.what.startswith("repairs")
     if args.what == "canonical":
         value = len(canonical_sequences(db, sigma, cap=args.cap))
-    elif not is_primary_keys(sigma, db.schema):
-        count = _candidate_count if args.what.startswith("repairs") else sequence_count
-        value = count(db, sigma, single, cap=args.cap)
-    elif args.what.startswith("repairs"):
-        closed = count_candidate_repairs_singleton if single else count_candidate_repairs
-        value = closed(db, sigma)
+    elif is_primary_keys(sigma, db.schema):
+        # the closed forms walk nothing, so they take no cap
+        closed = count_candidate_repairs if repairs else count_complete_sequences
+        value = closed(db, sigma, single)
     else:
-        closed = count_complete_sequences_singleton if single else count_complete_sequences
-        value = closed(db, sigma)
+        count = _candidate_count if repairs else sequence_count
+        value = count(db, sigma, single, cap=args.cap)
     wall = time.perf_counter() - start
     _emit(_record("count", wall, what=args.what, count=str(value)), out)
     return 0

@@ -29,45 +29,13 @@ from typing import Iterable, Sequence
 from .relational import Database, FunctionalDependency, blocks
 
 __all__ = [
-    "BlockProfile",
     "SequenceCountTable",
     "block_seq_count",
     "build_sequence_count_table",
     "count_candidate_repairs",
-    "count_candidate_repairs_singleton",
     "count_complete_sequences",
-    "count_complete_sequences_singleton",
     "sequence_count_for_profile",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Block profiles
-#
-# A profile is the list of block sizes, in the deterministic block order.
-# Totals are invariant under reordering (tested), which is also why the
-# profile-count cache below may key on the sorted multiset.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BlockProfile:
-    """Block sizes of a primary-key instance, in block order."""
-
-    sizes: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(m < 1 for m in self.sizes):
-            raise ValueError("block sizes must be >= 1")
-
-    @classmethod
-    def from_database(cls, db: Database, sigma: Iterable[FunctionalDependency]) -> "BlockProfile":
-        return cls(tuple(b.size for b in blocks(db, sigma)))
-
-    @property
-    def nontrivial_sizes(self) -> tuple[int, ...]:
-        """Sizes of the blocks that admit at least one operation."""
-        return tuple(m for m in self.sizes if m >= 2)
 
 
 # ---------------------------------------------------------------------------
@@ -230,30 +198,28 @@ def build_sequence_count_table(sizes: Sequence[int]) -> SequenceCountTable:
 # ---------------------------------------------------------------------------
 
 
-def count_candidate_repairs(db: Database, sigma: Iterable[FunctionalDependency]) -> int:
-    """Candidate repairs of a primary-key instance: each block of size
-    m >= 2 independently keeps one of its facts or none."""
-    profile = BlockProfile.from_database(db, frozenset(sigma))
-    out = 1
-    for m in profile.nontrivial_sizes:
-        out *= m + 1
-    return out
+def _nontrivial_sizes(db: Database, sigma: Iterable[FunctionalDependency]) -> list[int]:
+    """Sizes of the blocks of two or more facts, in block order; raises
+    ConstraintClassError beyond primary keys."""
+    return [b.size for b in blocks(db, frozenset(sigma)) if b.size >= 2]
 
 
-def count_candidate_repairs_singleton(
-    db: Database, sigma: Iterable[FunctionalDependency]
+def count_candidate_repairs(
+    db: Database, sigma: Iterable[FunctionalDependency], singleton_only: bool = False
 ) -> int:
-    """Singleton-operation candidate repairs: every block keeps exactly
-    one survivor, so the count is the product of all block sizes."""
-    profile = BlockProfile.from_database(db, frozenset(sigma))
+    """Candidate repairs of a primary-key instance: each block of size
+    m >= 2 independently keeps one of its facts, or none unless
+    singleton_only."""
     out = 1
-    for m in profile.sizes:
-        out *= m
+    for m in _nontrivial_sizes(db, sigma):
+        out *= m if singleton_only else m + 1
     return out
 
 
 def sequence_count_for_profile(sizes: Sequence[int], singleton_only: bool = False) -> int:
-    """|CRS| (or |CRS¹|) for a block profile; sizes < 2 are ignored."""
+    """|CRS| (or |CRS¹|) for a block profile; sizes < 2 are ignored. The
+    total does not depend on block order (tested), so the cache keys on
+    the sorted sizes."""
     nontrivial = tuple(sorted((m for m in sizes if m >= 2), reverse=True))
     return _profile_count(nontrivial, singleton_only)
 
@@ -275,13 +241,8 @@ def _profile_count(nontrivial: tuple[int, ...], singleton_only: bool) -> int:
     return out
 
 
-def count_complete_sequences(db: Database, sigma: Iterable[FunctionalDependency]) -> int:
-    profile = BlockProfile.from_database(db, frozenset(sigma))
-    return sequence_count_for_profile(profile.sizes)
-
-
-def count_complete_sequences_singleton(
-    db: Database, sigma: Iterable[FunctionalDependency]
+def count_complete_sequences(
+    db: Database, sigma: Iterable[FunctionalDependency], singleton_only: bool = False
 ) -> int:
-    profile = BlockProfile.from_database(db, frozenset(sigma))
-    return sequence_count_for_profile(profile.sizes, singleton_only=True)
+    """|CRS| (or |CRS¹|) of a primary-key instance."""
+    return sequence_count_for_profile(_nontrivial_sizes(db, sigma), singleton_only)

@@ -11,8 +11,9 @@ Three modes:
 Every estimate is a pure function of (instance, query, config, seed,
 stream index k): trial t consumes RandomSource stream (seed, k + t) and
 nothing else, so thread counts and batch sizes cannot change the result.
-All three estimators draw their trials through one function (_trials),
-in chunks of _CHUNK trials, on a thread pool when config.threads > 1.
+One estimator, estimate_probability, runs all three modes; it draws its
+trials through one function (_trials), in chunks of _CHUNK trials, on a
+thread pool when config.threads > 1.
 
 Hot loops run on a numpy fast path when the instance shape allows:
 uniform-operations walks, one residual DAG per conflict component, on
@@ -47,9 +48,6 @@ __all__ = [
     "additive_sample_count",
     "multiplicative_sample_count",
     "adaptive_success_quota",
-    "estimate_additive",
-    "estimate_multiplicative",
-    "estimate_adaptive",
     "estimate_probability",
 ]
 
@@ -455,28 +453,7 @@ def _trials(stream, rng: RandomSource, first: int, total: int, threads: int):
 # ---------------------------------------------------------------------------
 
 
-def estimate_additive(
-    db: Database,
-    sigma,
-    kind: GeneratorKind,
-    q: ConjunctiveQuery,
-    c: tuple = (),
-    config: EstimatorConfig = EstimatorConfig(Fraction(1, 10), Fraction(1, 20)),
-    rng: RandomSource | None = None,
-) -> Estimate:
-    """Sample mean with absolute-error guarantee eps at confidence 1-delta."""
-    rng = rng if rng is not None else RandomSource(0)
-    n = additive_sample_count(config.epsilon, config.delta)
-    if n > config.max_samples:
-        raise SizeCapError(
-            f"additive mode needs {n} samples, over the cap {config.max_samples}"
-        )
-    stream = _indicator_stream(db, sigma, kind, q, c)
-    hits = sum(int(arr.sum()) for arr in _trials(stream, rng, 0, n, config.threads))
-    return Estimate(Fraction(hits, n), n, "additive")
-
-
-def estimate_multiplicative(
+def estimate_probability(
     db: Database,
     sigma,
     kind: GeneratorKind,
@@ -485,56 +462,59 @@ def estimate_multiplicative(
     config: EstimatorConfig = EstimatorConfig(Fraction(1, 20), Fraction(1, 20)),
     rng: RandomSource | None = None,
 ) -> Estimate:
-    """Relative-error estimate budgeted by a proven lower bound.
+    """Probability that c answers q in the repair kind draws, within
+    error eps at confidence 1-delta; config.mode picks the guarantee.
 
-    All-zero runs return 0 with flagged_zero set: correct whenever the
-    target is exactly 0, and the one documented gap in the relative
-    guarantee (targets strictly between 0 and the bound).
+    * additive: the mean of additive_sample_count trials; absolute error.
+    * multiplicative_bound: the mean of multiplicative_sample_count
+      trials, budgeted by lower_bound; relative error. Raises
+      UnsupportedCombinationError when no bound covers the combination.
+      An all-zero run returns 0 with flagged_zero set: correct whenever
+      the target is exactly 0, and the one documented gap in the relative
+      guarantee (targets strictly between 0 and the bound).
+    * adaptive: draw until the success quota T is met and return
+      T / (draws through the T-th success); relative error, no prior
+      bound needed. Hitting max_samples first yields the flagged plain
+      mean instead. A tuple without a witness in the database holds in no
+      repair: it gets a flagged 0 without any draw.
+
+    The fixed-N modes raise SizeCapError, before the stream is built, when
+    their sample count exceeds max_samples.
     """
     rng = rng if rng is not None else RandomSource(0)
-    bound = lower_bound(kind, db, sigma, q)
-    if bound is None:
-        raise UnsupportedCombinationError(
-            f"no lower bound for {kind.label} on this constraint class; "
-            "use additive or adaptive mode"
-        )
-    n = multiplicative_sample_count(config.epsilon, config.delta, bound)
+    if config.mode == "adaptive":
+        return _adaptive(_indicator_stream(db, sigma, kind, q, c), config, rng)
+    bound = None
+    if config.mode == "additive":
+        n = additive_sample_count(config.epsilon, config.delta)
+    else:
+        bound = lower_bound(kind, db, sigma, q)
+        if bound is None:
+            raise UnsupportedCombinationError(
+                f"no lower bound for {kind.label} on this constraint class; "
+                "use additive or adaptive mode"
+            )
+        n = multiplicative_sample_count(config.epsilon, config.delta, bound)
     if n > config.max_samples:
+        hint = "" if bound is None else "; adaptive mode avoids the prior bound"
         raise SizeCapError(
-            f"multiplicative mode needs {n} samples, over the cap "
-            f"{config.max_samples}; adaptive mode avoids the prior bound"
+            f"{config.mode.split('_')[0]} mode needs {n} samples, over the cap "
+            f"{config.max_samples}{hint}"
         )
     stream = _indicator_stream(db, sigma, kind, q, c)
     hits = sum(int(arr.sum()) for arr in _trials(stream, rng, 0, n, config.threads))
     return Estimate(
-        Fraction(hits, n), n, "multiplicative_bound", bound, flagged_zero=hits == 0
+        Fraction(hits, n), n, config.mode, bound, flagged_zero=bound is not None and hits == 0
     )
 
 
-def estimate_adaptive(
-    db: Database,
-    sigma,
-    kind: GeneratorKind,
-    q: ConjunctiveQuery,
-    c: tuple = (),
-    config: EstimatorConfig = EstimatorConfig(Fraction(1, 20), Fraction(1, 20)),
-    rng: RandomSource | None = None,
-) -> Estimate:
-    """Stopping-rule estimator: draw until the success quota T is met,
-    return T / (draws through the T-th success). Batching is internal
-    bookkeeping; the stopping trial is a pure function of the seed.
-
-    Hitting max_samples first yields the flagged plain mean instead. A
-    tuple without a witness in the database holds in no repair: it gets
-    a flagged 0 without any draw.
-    """
-    rng = rng if rng is not None else RandomSource(0)
-    quota = adaptive_success_quota(config.epsilon, config.delta)
-    stream = _indicator_stream(db, sigma, kind, q, c)
+def _adaptive(stream, config: EstimatorConfig, rng: RandomSource) -> Estimate:
+    """The stopping rule of adaptive mode. Batching is internal
+    bookkeeping; the stopping trial is a pure function of the seed."""
     if not stream.witnessed:
         return Estimate(Fraction(0), 0, "adaptive", flagged_zero=True)
-    hits = 0
-    drawn = 0
+    quota = adaptive_success_quota(config.epsilon, config.delta)
+    hits = drawn = 0
     batch = quota  # fewer draws cannot meet the quota
     while drawn < config.max_samples:
         size = min(batch, config.max_samples - drawn)
@@ -547,23 +527,3 @@ def estimate_adaptive(
             drawn += arr.size
         batch = min(batch * 2, 1 << 18)
     return Estimate(Fraction(hits, drawn), drawn, "adaptive", flagged_zero=True)
-
-
-_ESTIMATORS = {
-    "additive": estimate_additive,
-    "multiplicative_bound": estimate_multiplicative,
-    "adaptive": estimate_adaptive,
-}
-
-
-def estimate_probability(
-    db: Database,
-    sigma,
-    kind: GeneratorKind,
-    q: ConjunctiveQuery,
-    c: tuple = (),
-    config: EstimatorConfig = EstimatorConfig(Fraction(1, 20), Fraction(1, 20)),
-    rng: RandomSource | None = None,
-) -> Estimate:
-    """Route to the estimator selected by config.mode."""
-    return _ESTIMATORS[config.mode](db, sigma, kind, q, c, config, rng)

@@ -291,7 +291,8 @@ def _lhs_groups(db: Database, fd: FunctionalDependency) -> dict[tuple[str, ...],
 
 
 def satisfies(db: Database, sigma: Iterable[FunctionalDependency]) -> bool:
-    return not violations(db, sigma)
+    """No FD is violated: no conflict group, so no pair is listed."""
+    return not conflict_groups(db, sigma)
 
 
 @dataclass(frozen=True)

@@ -62,11 +62,16 @@ def greedy_matching(pairs) -> int:
 
 
 def bf_justified_ops(
-    facts: frozenset[Fact], sigma, schema: Schema, singleton_only: bool = False
+    facts: frozenset[Fact], pairs, singleton_only: bool = False
 ) -> list[frozenset[Fact]]:
-    """Removal candidates at one state, canonically ordered."""
+    """Removal candidates at one state, canonically ordered. Whether two
+    facts violate an FD does not depend on the other facts present, so a
+    state's violating pairs are those of the whole instance (pairs, from
+    bf_violating_pairs) that lie inside it."""
     ops: set[frozenset[Fact]] = set()
-    for pair in bf_violating_pairs(facts, sigma, schema):
+    for pair in pairs:
+        if not pair <= facts:
+            continue
         for f in pair:
             ops.add(frozenset((f,)))
         if not singleton_only:
@@ -79,11 +84,11 @@ def bf_complete_sequences(
 ) -> list[tuple[frozenset[Fact], ...]]:
     """Every complete repairing sequence, as tuples of removed-fact sets,
     in depth-first canonical order."""
-    schema = db.schema
+    pairs = bf_violating_pairs(db.facts, sigma, db.schema)
     out: list[tuple[frozenset[Fact], ...]] = []
 
     def walk(facts: frozenset[Fact], prefix: tuple[frozenset[Fact], ...]) -> None:
-        ops = bf_justified_ops(facts, sigma, schema, singleton_only)
+        ops = bf_justified_ops(facts, pairs, singleton_only)
         if not ops:
             out.append(prefix)
             return
@@ -118,13 +123,13 @@ def bf_candidate_repairs(
 ) -> set[frozenset[Fact]]:
     """Distinct results of complete sequences, via breadth-first search
     over residual fact sets (no tree walk)."""
-    schema = db.schema
+    pairs = bf_violating_pairs(db.facts, sigma, db.schema)
     seen = {db.facts}
     frontier = [db.facts]
     leaves: set[frozenset[Fact]] = set()
     while frontier:
         facts = frontier.pop()
-        ops = bf_justified_ops(facts, sigma, schema, singleton_only)
+        ops = bf_justified_ops(facts, pairs, singleton_only)
         if not ops:
             leaves.add(facts)
         for op in ops:
@@ -190,10 +195,10 @@ def bf_srfreq(db: Database, sigma, q, answer=(), singleton_only=False) -> Fracti
 
 def bf_uo_probability(db: Database, sigma, q, answer=(), singleton_only=False) -> Fraction:
     """Mass of uniform-operation walks whose result entails the answer."""
-    schema = db.schema
+    pairs = bf_violating_pairs(db.facts, sigma, db.schema)
 
     def walk(facts: frozenset[Fact]) -> Fraction:
-        ops = bf_justified_ops(facts, sigma, schema, singleton_only)
+        ops = bf_justified_ops(facts, pairs, singleton_only)
         if not ops:
             return Fraction(int(bf_entails(db.restrict(facts), q, answer)))
         share = Fraction(1, len(ops))

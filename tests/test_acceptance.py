@@ -37,9 +37,7 @@ from opcqa import (
     candidate_repairs,
     conflict_graph,
     count_candidate_repairs,
-    count_candidate_repairs_singleton,
     count_complete_sequences,
-    count_complete_sequences_singleton,
     entails,
     enumerate_sequences,
     estimate_probability,
@@ -205,13 +203,13 @@ def test_c03_engine_matches_enumeration(keyed_sweep):
         assert count_candidate_repairs(db, SWEEP_KEY) == len(
             bf_candidate_repairs(db, SWEEP_KEY, False)
         )
-        assert count_candidate_repairs_singleton(db, SWEEP_KEY) == len(
+        assert count_candidate_repairs(db, SWEEP_KEY, singleton_only=True) == len(
             bf_candidate_repairs(db, SWEEP_KEY, True)
         )
         assert count_complete_sequences(db, SWEEP_KEY) == len(
             bf_complete_sequences(db, SWEEP_KEY, False)
         )
-        assert count_complete_sequences_singleton(db, SWEEP_KEY) == len(
+        assert count_complete_sequences(db, SWEEP_KEY, singleton_only=True) == len(
             bf_complete_sequences(db, SWEEP_KEY, True)
         )
 

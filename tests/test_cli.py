@@ -227,6 +227,25 @@ def test_count_on_general_fd_instance(files, capsys):
         assert records[0]["count"] == value
 
 
+def test_count_cap_binds_only_the_walks(files, capsys):
+    """Under primary keys the closed forms walk nothing, so --cap does
+    not bind them; canonical sequences and every count beyond primary
+    keys walk residuals and exit 3 past the cap."""
+    keyed = files("keyed.json", KEYED_DOC)
+    closed = {"repairs": "12", "repairs1": "6", "sequences": "99", "sequences1": "36"}
+    for what, value in closed.items():
+        code, records, _ = run(capsys, "count", keyed, "--what", what, "--cap", "1")
+        assert code == 0, what
+        assert records[0]["count"] == value
+    triple = files("triple.json", TRIPLE_DOC)
+    walked = [(keyed, "canonical")] + [(triple, what) for what in (*closed, "canonical")]
+    for inst, what in walked:
+        code, records, err = run(capsys, "count", inst, "--what", what, "--cap", "1")
+        assert code == 3, (inst, what)
+        assert records == []
+        assert err.startswith("error:")
+
+
 def test_count_on_deep_instance_exits_with_size_cap(files, capsys):
     # every complete sequence of a 600-block ladder has at least 600
     # operations, deeper than the recursive tree walk can go

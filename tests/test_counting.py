@@ -8,16 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opcqa import (
-    BlockProfile,
     ConstraintClassError,
     Database,
     FunctionalDependency,
     block_seq_count,
     build_sequence_count_table,
     count_candidate_repairs,
-    count_candidate_repairs_singleton,
     count_complete_sequences,
-    count_complete_sequences_singleton,
     fact,
     sequence_count_for_profile,
 )
@@ -36,17 +33,8 @@ def test_worked_example_counts():
     db, sigma = keyed_instance()
     assert count_candidate_repairs(db, sigma) == 12
     assert count_complete_sequences(db, sigma) == 99
-    assert count_candidate_repairs_singleton(db, sigma) == 6
-    assert count_complete_sequences_singleton(db, sigma) == 36
-
-
-def test_block_profile():
-    db, sigma = keyed_instance()
-    profile = BlockProfile.from_database(db, sigma)
-    assert profile.sizes == (3, 1, 2)
-    assert profile.nontrivial_sizes == (3, 2)
-    with pytest.raises(ValueError):
-        BlockProfile((2, 0))
+    assert count_candidate_repairs(db, sigma, singleton_only=True) == 6
+    assert count_complete_sequences(db, sigma, singleton_only=True) == 36
 
 
 def test_single_block_sequence_counts():
@@ -126,8 +114,8 @@ def test_random_instances_match_enumeration():
             bf_candidate_repairs(db, SWEEP_KEY)
         )
         singles = bf_complete_sequences(db, SWEEP_KEY, singleton_only=True)
-        assert count_complete_sequences_singleton(db, SWEEP_KEY) == len(singles)
-        assert count_candidate_repairs_singleton(db, SWEEP_KEY) == len(
+        assert count_complete_sequences(db, SWEEP_KEY, singleton_only=True) == len(singles)
+        assert count_candidate_repairs(db, SWEEP_KEY, singleton_only=True) == len(
             bf_candidate_repairs(db, SWEEP_KEY, singleton_only=True)
         )
         checked += 1

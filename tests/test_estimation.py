@@ -24,9 +24,6 @@ from opcqa import (
     UnsupportedCombinationError,
     adaptive_success_quota,
     additive_sample_count,
-    estimate_adaptive,
-    estimate_additive,
-    estimate_multiplicative,
     estimate_probability,
     exact_answer_probability,
     fact,
@@ -151,13 +148,13 @@ def test_lower_bound_is_sound_where_checkable():
 def test_additive_estimate_hits_its_error_budget():
     db, sigma = keyed_instance()
     cfg = EstimatorConfig(epsilon=0.1, delta=0.05, mode="additive")
-    est = estimate_additive(
+    est = estimate_probability(
         db, sigma, UR, keyed_query(), ("b1",), cfg, RandomSource(7)
     )
     assert est.samples_used == 185
     assert est.mode == "additive"
     assert abs(est.value - Fraction(1, 4)) <= Fraction(1, 10)
-    rerun = estimate_additive(
+    rerun = estimate_probability(
         db, sigma, UR, keyed_query(), ("b1",), cfg, RandomSource(7)
     )
     assert rerun.value == est.value
@@ -168,12 +165,12 @@ def test_estimators_start_at_the_stream_index():
     db, sigma = keyed_instance()
     q = keyed_query()
     cfg = EstimatorConfig(epsilon=0.1, delta=0.05, mode="additive")
-    est = estimate_additive(db, sigma, UR, q, ("b1",), cfg, RandomSource(7, 3))
+    est = estimate_probability(db, sigma, UR, q, ("b1",), cfg, RandomSource(7, 3))
     want = _ScalarStream(db, frozenset(sigma), UR, q, ("b1",)).batch(7, 3, est.samples_used)
     assert est.value == Fraction(int(want.sum()), est.samples_used)
-    assert est != estimate_additive(db, sigma, UR, q, ("b1",), cfg, RandomSource(7, 0))
+    assert est != estimate_probability(db, sigma, UR, q, ("b1",), cfg, RandomSource(7, 0))
     cfg = EstimatorConfig(epsilon=0.2, delta=0.1, mode="adaptive")
-    est = estimate_adaptive(db, sigma, UR, q, ("b1",), cfg, RandomSource(7, 3))
+    est = estimate_probability(db, sigma, UR, q, ("b1",), cfg, RandomSource(7, 3))
     want = _ScalarStream(db, frozenset(sigma), UR, q, ("b1",)).batch(7, 3, est.samples_used)
     quota = adaptive_success_quota(cfg.epsilon, cfg.delta)
     assert int(want.sum()) == quota and want[-1] == 1
@@ -201,7 +198,7 @@ def test_certain_answers_hold_on_every_stream():
 def test_multiplicative_estimate_frozen_seed_one():
     db, sigma = keyed_instance()
     cfg = EstimatorConfig(epsilon=0.05, delta=0.05, mode="multiplicative_bound")
-    est = estimate_multiplicative(
+    est = estimate_probability(
         db, sigma, UR, keyed_query(), ("b1",), cfg, RandomSource(1)
     )
     assert est.samples_used == 53120
@@ -214,7 +211,7 @@ def test_multiplicative_estimate_frozen_seed_one():
 def test_adaptive_estimate_on_worked_example():
     db, sigma = keyed_instance()
     cfg = EstimatorConfig(epsilon=0.05, delta=0.05, mode="adaptive")
-    est = estimate_adaptive(
+    est = estimate_probability(
         db, sigma, UR, keyed_query(), ("b1",), cfg, RandomSource(3)
     )
     assert est.mode == "adaptive"
@@ -246,7 +243,7 @@ def test_adaptive_first_batch_keeps_estimates(label):
     stream = _indicator_stream(db, frozenset(sigma), kind, q, c)
     assert isinstance(stream, _ScalarStream) == (label == "us")
     for seed, used in enumerate(ADAPTIVE_PINNED[label]):
-        est = estimate_adaptive(db, sigma, kind, q, c, cfg, RandomSource(seed))
+        est = estimate_probability(db, sigma, kind, q, c, cfg, RandomSource(seed))
         assert (est.value, est.samples_used) == (Fraction(quota, used), used)
         # the quota-th success of one unbatched run of the stream
         trials = stream.batch(seed, 0, used)
@@ -258,7 +255,7 @@ def test_adaptive_cap_yields_flagged_mean():
     cfg = EstimatorConfig(
         epsilon=0.05, delta=0.05, mode="adaptive", max_samples=1000
     )
-    est = estimate_adaptive(
+    est = estimate_probability(
         db, sigma, UR, keyed_query(), ("b1",), cfg, RandomSource(3)
     )
     assert est.flagged_zero
@@ -276,7 +273,7 @@ def test_multiplicative_zero_target_is_flagged():
     cfg = EstimatorConfig(
         epsilon=0.2, delta=0.2, mode="multiplicative_bound", max_samples=10**7
     )
-    est = estimate_multiplicative(
+    est = estimate_probability(
         db, sigma, UR, impossible, (), cfg, RandomSource(5)
     )
     assert est.value == 0
@@ -288,20 +285,20 @@ def test_mode_errors():
     q = keyed_boolean_query()
     tiny = EstimatorConfig(epsilon=0.05, delta=0.05, mode="additive", max_samples=10)
     with pytest.raises(SizeCapError):
-        estimate_additive(db, sigma, UR, q, (), tiny, RandomSource(0))
+        estimate_probability(db, sigma, UR, q, (), tiny, RandomSource(0))
     # pair uniform-operations only has the astronomically small bound
     cfg = EstimatorConfig(epsilon=0.05, delta=0.05, mode="multiplicative_bound")
     with pytest.raises(SizeCapError) as exc_info:
-        estimate_multiplicative(db, sigma, UO, q, (), cfg, RandomSource(0))
+        estimate_probability(db, sigma, UO, q, (), cfg, RandomSource(0))
     assert "adaptive" in str(exc_info.value)
     # beyond keys there is no bound at all
     wide_db, wide_sigma = triple_instance()
     with pytest.raises(UnsupportedCombinationError):
-        estimate_multiplicative(wide_db, wide_sigma, UO, q, (), cfg, RandomSource(0))
+        estimate_probability(wide_db, wide_sigma, UO, q, (), cfg, RandomSource(0))
     # no uniform-repair sampler exists beyond primary keys
     loose = EstimatorConfig(epsilon=0.2, delta=0.2, mode="additive")
     with pytest.raises(UnsupportedCombinationError):
-        estimate_additive(wide_db, wide_sigma, UR, q, (), loose, RandomSource(0))
+        estimate_probability(wide_db, wide_sigma, UR, q, (), loose, RandomSource(0))
 
 
 def test_estimate_probability_routes_by_mode():
@@ -482,8 +479,8 @@ def test_thread_count_does_not_change_results(monkeypatch):
     q = keyed_query()
     single = EstimatorConfig(epsilon=0.05, delta=0.05, mode="additive", threads=1)
     multi = EstimatorConfig(epsilon=0.05, delta=0.05, mode="additive", threads=4)
-    a = estimate_additive(db, sigma, UR, q, ("b1",), single, RandomSource(21))
-    b = estimate_additive(db, sigma, UR, q, ("b1",), multi, RandomSource(21))
+    a = estimate_probability(db, sigma, UR, q, ("b1",), single, RandomSource(21))
+    b = estimate_probability(db, sigma, UR, q, ("b1",), multi, RandomSource(21))
     assert a.value == b.value and a.samples_used == b.samples_used
     # in chunks of 50 trials every run spans many chunks, adaptive batches too
     plans = [(kind, mode) for kind in (UR, UO, US) for mode in ("additive", "adaptive")]
@@ -505,15 +502,15 @@ def test_thread_count_does_not_change_us_results_on_a_fresh_instance():
     sigma = frozenset([FunctionalDependency.of("R", ("A1",), ("A2",))])
     multi = EstimatorConfig(epsilon=0.05, delta=0.05, mode="additive", threads=4)
     single = EstimatorConfig(epsilon=0.05, delta=0.05, mode="additive", threads=1)
-    b = estimate_additive(db, sigma, US, keyed_query(), ("b1",), multi, RandomSource(21))
-    a = estimate_additive(db, sigma, US, keyed_query(), ("b1",), single, RandomSource(21))
+    b = estimate_probability(db, sigma, US, keyed_query(), ("b1",), multi, RandomSource(21))
+    a = estimate_probability(db, sigma, US, keyed_query(), ("b1",), single, RandomSource(21))
     assert a.value == b.value and a.samples_used == b.samples_used
 
 
 def test_us_estimates_work_without_fast_path():
     db, sigma = keyed_instance()
     cfg = EstimatorConfig(epsilon=0.15, delta=0.1, mode="additive")
-    est = estimate_additive(
+    est = estimate_probability(
         db, sigma, US, keyed_query(), ("b1",), cfg, RandomSource(13)
     )
     assert abs(est.value - Fraction(8, 33)) <= Fraction(15, 100)

@@ -32,7 +32,7 @@ from bruteforce import (
     count_independent_sets,
     random_fd_instance,
 )
-from fixtures import F1, F2, F3, keyed_instance, triple_instance
+from fixtures import F1, F2, F3, keyed_instance, ladder_instance, triple_instance
 
 
 def test_schema_rejects_duplicates_and_unknowns():
@@ -116,6 +116,28 @@ def test_consistent_database_has_no_violations():
     sigma = [FunctionalDependency.of("R", ("A",), ("B",))]
     assert violations(db, sigma).pairs == set()
     assert satisfies(db, sigma)
+
+
+def test_satisfies_a_large_key_block_without_listing_pairs():
+    """One key block of 3,000 facts has 4.5M conflicting pairs; whether
+    it satisfies its key is read off the FD groups, in little memory. On
+    random instances the answer is the quadratic definition's."""
+    import tracemalloc
+
+    db, sigma = ladder_instance(1, 3000)
+    for part, want in ((db, False), (db.restrict(sorted(db.facts)[:1]), True)):
+        tracemalloc.start()
+        try:
+            got = satisfies(part, sigma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got is want
+        assert peak < 16 * 2**20, f"{part.fact_count} facts: {peak / 2**20:.1f} MB peak"
+    rng = random.Random(4822)
+    for _ in range(60):
+        db = random_fd_instance(rng)
+        assert satisfies(db, WIDE_FDS) == (not bf_violating_pairs(db.facts, WIDE_FDS, db.schema))
 
 
 def test_conflict_graph_shape():
