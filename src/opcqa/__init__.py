@@ -58,17 +58,14 @@ from .queries import (
 )
 from .relational import (
     Block,
-    ConflictGraph,
     Database,
     Fact,
     FunctionalDependency,
     Schema,
     ViolationSet,
     blocks,
-    conflict_graph,
     fact,
     is_keys,
-    is_nontrivially_connected,
     is_primary_keys,
     satisfies,
     violations,

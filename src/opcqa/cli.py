@@ -141,12 +141,10 @@ def load_instance(path: str) -> tuple[Database, frozenset[FunctionalDependency]]
             raise _fail(where, 'object with keys "relation", "lhs", "rhs" expected')
         if not isinstance(entry["relation"], str):
             raise _fail(where, "relation name must be a string")
-        fd = FunctionalDependency.of(
-            entry["relation"],
-            _string_list(entry["lhs"], f"{where}.lhs"),
-            _string_list(entry["rhs"], f"{where}.rhs"),
-        )
+        lhs = _string_list(entry["lhs"], f"{where}.lhs")
+        rhs = _string_list(entry["rhs"], f"{where}.rhs")
         try:
+            fd = FunctionalDependency.of(entry["relation"], lhs, rhs)
             fd.validate(schema)
         except SchemaError as exc:
             raise _fail(where, str(exc)) from exc
@@ -264,10 +262,19 @@ def _answer_targets(args, q: ConjunctiveQuery, db: Database) -> list[tuple[str, 
     return [values]
 
 
-def cmd_exact(args, out) -> int:
+def _load_inputs(args) -> tuple[Database, frozenset[FunctionalDependency], ConjunctiveQuery]:
+    """The instance and the query, checked against the instance's schema."""
     db, sigma = load_instance(args.instance)
     q = load_query(args.query)
-    q.validate(db.schema)
+    try:
+        q.validate(db.schema)
+    except SchemaError as exc:
+        raise _fail(args.query, str(exc)) from exc
+    return db, sigma, q
+
+
+def cmd_exact(args, out) -> int:
+    db, sigma, q = _load_inputs(args)
     kind = GENERATORS[args.generator]
     targets = _answer_targets(args, q, db)
     start = time.perf_counter()
@@ -311,9 +318,7 @@ def cmd_count(args, out) -> int:
 
 
 def cmd_approx(args, out) -> int:
-    db, sigma = load_instance(args.instance)
-    q = load_query(args.query)
-    q.validate(db.schema)
+    db, sigma, q = _load_inputs(args)
     kind = GENERATORS[args.generator]
     if q.is_boolean:
         if args.tuple is not None:

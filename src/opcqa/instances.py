@@ -24,11 +24,10 @@ from .relational import (
     Database,
     FunctionalDependency,
     Schema,
-    conflict_graph,
     fact,
     is_keys,
-    is_nontrivially_connected,
 )
+from .repairs import _nontrivially_connected
 
 __all__ = [
     "UndirectedGraph",
@@ -277,7 +276,7 @@ def gen_fd_lift(
     (relation,) = relations
     if any(f.relation != relation for f in db):
         raise ValueError(f"all facts must belong to {relation}")
-    if not is_nontrivially_connected(conflict_graph(db, sigma_k)):
+    if not _nontrivially_connected(db, sigma_k):
         raise ValueError("database must be non-trivially connected under the keys")
     if {"@a", "@b"} & db.adom:
         raise ValueError('the reserved constants "@a"/"@b" appear in the database')

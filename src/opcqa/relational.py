@@ -2,7 +2,7 @@
 
 Everything downstream (repairing sequences, counting, sampling) works on
 the value types defined here: schemas, facts, databases, functional
-dependencies, violation sets, conflict graphs, and blocks. All types are
+dependencies, violation sets, conflict groups, and blocks. All types are
 immutable and hashable so they can be used as dictionary keys and set
 members throughout.
 """
@@ -22,13 +22,10 @@ __all__ = [
     "Database",
     "FunctionalDependency",
     "ViolationSet",
-    "ConflictGraph",
     "Block",
     "satisfies",
     "violations",
-    "conflict_graph",
     "blocks",
-    "is_nontrivially_connected",
 ]
 
 
@@ -296,39 +293,6 @@ def satisfies(db: Database, sigma: Iterable[FunctionalDependency]) -> bool:
 
 
 @dataclass(frozen=True)
-class ConflictGraph:
-    """Facts as nodes, violating pairs (over all FDs) as edges."""
-
-    nodes: tuple[Fact, ...]
-    edges: frozenset[frozenset[Fact]]
-
-    @cached_property
-    def _adjacency(self) -> dict[Fact, frozenset[Fact]]:
-        adj: dict[Fact, set[Fact]] = {node: set() for node in self.nodes}
-        for edge in self.edges:
-            f, g = sorted(edge)
-            adj[f].add(g)
-            adj[g].add(f)
-        return {node: frozenset(nbrs) for node, nbrs in adj.items()}
-
-    def neighbors(self, f: Fact) -> frozenset[Fact]:
-        return self._adjacency[f]
-
-    def has_edge(self, f: Fact, g: Fact) -> bool:
-        return frozenset((f, g)) in self.edges
-
-    def is_independent(self, facts: Iterable[Fact]) -> bool:
-        chosen = list(facts)
-        return not any(
-            frozenset((f, g)) in self.edges for f, g in combinations(chosen, 2)
-        )
-
-
-def conflict_graph(db: Database, sigma: Iterable[FunctionalDependency]) -> ConflictGraph:
-    return ConflictGraph(db.sorted_facts, violations(db, sigma).pairs)
-
-
-@dataclass(frozen=True)
 class Block:
     """Facts of one relation agreeing on the key's left-hand side.
 
@@ -373,18 +337,3 @@ def blocks(db: Database, sigma: Iterable[FunctionalDependency]) -> list[Block]:
         for key_values in sorted(groups):
             out.append(Block(relation, key_values, frozenset(groups[key_values])))
     return out
-
-
-def is_nontrivially_connected(g: ConflictGraph) -> bool:
-    """At least two nodes and connected."""
-    if len(g.nodes) < 2:
-        return False
-    seen = {g.nodes[0]}
-    frontier = [g.nodes[0]]
-    while frontier:
-        node = frontier.pop()
-        for nbr in g.neighbors(node):
-            if nbr not in seen:
-                seen.add(nbr)
-                frontier.append(nbr)
-    return len(seen) == len(g.nodes)

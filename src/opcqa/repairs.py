@@ -46,9 +46,8 @@ from .relational import (
     Fact,
     FunctionalDependency,
     blocks,
-    conflict_graph,
     conflict_groups,
-    is_nontrivially_connected,
+    satisfies,
     violations,
 )
 
@@ -545,6 +544,13 @@ class _Space(_Conflicts):
 @lru_cache(maxsize=256)
 def _space(db: Database, sigma: frozenset[FunctionalDependency]) -> _Space:
     return _Space(db, sigma)
+
+
+def _nontrivially_connected(db: Database, sigma: frozenset[FunctionalDependency]) -> bool:
+    """Every fact is in a conflict and all lie in one component, so there
+    are at least two facts."""
+    space = _space(db, sigma)
+    return not space.untouched and len(space.components()[0]) == 1
 
 
 def _capped_dags(space: _Space, singleton_only: bool, cap: int) -> list[_Dag]:
@@ -1164,38 +1170,35 @@ def realize_repair(
     its neighbors.
     """
     sigma = frozenset(sigma)
-    g = conflict_graph(db, sigma)
-    if not is_nontrivially_connected(g):
+    if not _nontrivially_connected(db, sigma):
         raise ValueError("database is not non-trivially connected under the FDs")
     kept = frozenset(target.facts)
     if not kept <= db.facts:
         raise ValueError("target is not a subset of the database")
-    if not g.is_independent(kept):
+    # a violation lies in a pair alone, so a set is independent iff consistent
+    if not satisfies(db._subset(kept), sigma):
         raise ValueError("target is not an independent set of the conflict graph")
 
-    empty_target = not kept
-    anchor = g.nodes[0] if empty_target else None
-    seeds = {anchor} if empty_target else set(kept)
+    # breadth-first over the neighbour masks, each stratum in fact order;
+    # every fact is a conflict fact, so space.facts[0] is the least fact
+    space = _space(db, sigma)
+    seen = frontier = space.mask_of(kept) if kept else 1
+    strata: list[list[Fact]] = []
+    while frontier:
+        stratum: list[Fact] = []
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            i = low.bit_length() - 1
+            stratum.append(space.facts[i])
+            reach |= space.nbr[i]
+        strata.append(stratum)
+        frontier = reach & ~seen
+        seen |= frontier
 
-    strata: list[list[Fact]] = [sorted(seeds)]
-    seen = set(seeds)
-    while True:
-        nxt = {
-            nbr for f in strata[-1] for nbr in g.neighbors(f) if nbr not in seen
-        }
-        if not nxt:
-            break
-        seen |= nxt
-        strata.append(sorted(nxt))
-
-    ops: list[Operation] = []
-    if empty_target:
-        for stratum in reversed(strata[2:]):
-            ops.extend(Operation.of(f) for f in stratum)
-        partner = strata[1][0]
-        ops.extend(Operation.of(f) for f in strata[1] if f != partner)
-        ops.append(Operation.of(partner, anchor))
-    else:
-        for stratum in reversed(strata[1:]):
-            ops.extend(Operation.of(f) for f in stratum)
+    partner = None if kept else strata[1][0]
+    ops = [Operation.of(f) for stratum in reversed(strata[1:]) for f in stratum if f != partner]
+    if partner is not None:
+        ops.append(Operation.of(partner, space.facts[0]))
     return RepairingSequence(tuple(ops))

@@ -236,20 +236,21 @@ def bf_independent_sets(nodes, edges) -> list[frozenset]:
 DEFAULT_IS_CAP = 24
 
 
-def count_independent_sets(g, nonempty_only: bool = False, cap: int = DEFAULT_IS_CAP) -> int:
-    """Brute-force independent-set count of a conflict graph, including the
-    empty set unless nonempty_only. An oracle, not a performance path,
-    hence the hard cap."""
-    n = len(g.nodes)
+def count_independent_sets(
+    nodes, edges, nonempty_only: bool = False, cap: int = DEFAULT_IS_CAP
+) -> int:
+    """Brute-force independent-set count of a graph given by its nodes and
+    its edges (two-element sets), including the empty set unless
+    nonempty_only. An oracle, not a performance path, hence the hard cap."""
+    n = len(nodes)
     if n > cap:
         raise SizeCapError(f"independent-set counting capped at {cap} nodes, got {n}")
-    index = {node: i for i, node in enumerate(g.nodes)}
-    masks = []
-    for node in g.nodes:
-        m = 0
-        for nbr in g.neighbors(node):
-            m |= 1 << index[nbr]
-        masks.append(m)
+    index = {node: i for i, node in enumerate(nodes)}
+    masks = [0] * n
+    for edge in edges:
+        i, j = (index[node] for node in edge)
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
     count = 0
     for subset in range(1 << n):
         ok = True
@@ -262,6 +263,22 @@ def count_independent_sets(g, nonempty_only: bool = False, cap: int = DEFAULT_IS
     if nonempty_only:
         count -= 1
     return count
+
+
+def bf_nontrivially_connected(db: Database, sigma) -> bool:
+    """At least two facts, and the violating pairs connect them all:
+    a breadth-first search from the least fact."""
+    facts = sorted(db.facts)
+    if len(facts) < 2:
+        return False
+    pairs = bf_violating_pairs(db.facts, sigma, db.schema)
+    seen = {facts[0]}
+    frontier = [facts[0]]
+    while frontier:
+        reached = {g for f in frontier for pair in pairs if f in pair for g in pair}
+        frontier = sorted(reached - seen)
+        seen |= reached
+    return len(seen) == len(facts)
 
 
 # ---------------------------------------------------------------------------

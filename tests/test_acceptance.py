@@ -35,7 +35,6 @@ from opcqa import (
     build_chain,
     build_sequence_count_table,
     candidate_repairs,
-    conflict_graph,
     count_candidate_repairs,
     count_complete_sequences,
     entails,
@@ -47,7 +46,6 @@ from opcqa import (
     gen_hcoloring_instance,
     gen_pos2dnf_instance,
     hom_count_via_cqa,
-    is_nontrivially_connected,
     lower_bound,
     realize_repair,
     repair_distribution,
@@ -62,7 +60,9 @@ from bruteforce import (
     bf_candidate_repairs,
     bf_complete_sequences,
     bf_independent_sets,
+    bf_nontrivially_connected,
     bf_uo_probability,
+    bf_violating_pairs,
     random_connected_key_instance,
     random_fd_instance,
     random_primary_key_instance,
@@ -254,13 +254,13 @@ def test_c04_independent_set_correspondence():
             db, sigma = random_connected_key_instance(rng)
         else:
             db, sigma = random_fd_instance(rng, max_facts=10), WIDE_FDS
-        if not is_nontrivially_connected(conflict_graph(db, sigma)):
+        if not bf_nontrivially_connected(db, sigma):
             continue
         cases.append((db, sigma))
 
     for db, sigma in cases:
-        graph = conflict_graph(db, sigma)
-        independent = bf_independent_sets(graph.nodes, graph.edges)
+        edges = bf_violating_pairs(db.facts, sigma, db.schema)
+        independent = bf_independent_sets(sorted(db.facts), edges)
         repairs = {r.facts for r in candidate_repairs(db, sigma)}
         singles = {r.facts for r in candidate_repairs(db, sigma, singleton_only=True)}
         assert repairs == set(independent)
@@ -465,7 +465,7 @@ def test_c10_lift_identity():
     done = 0
     while done < 20:
         db, sigma = random_connected_key_instance(rng)
-        if not is_nontrivially_connected(conflict_graph(db, sigma)):
+        if not bf_nontrivially_connected(db, sigma):
             continue
         base = len(candidate_repairs(db, sigma))
         lifted_db, lifted_sigma, lifted_q = gen_fd_lift(db, sigma)

@@ -694,6 +694,7 @@ def test_malformed_inputs(files, capsys, tmp_path):
         (dict(KEYED_DOC, fds=[dict(fd, lhs="A1")]), "fds[0].lhs: expected a list of strings"),
         (dict(KEYED_DOC, fds=[dict(fd, rhs=["Z"])]), "unknown attributes ['Z']"),
         (dict(KEYED_DOC, fds=[dict(fd, relation="S")]), "unknown relation 'S'"),
+        (dict(KEYED_DOC, fds=[dict(fd, lhs=[])]), "FD left-hand side must be non-empty"),
     ]
     atom = OPEN_QUERY_DOC["atoms"][0]
     bad_queries = [
@@ -715,6 +716,11 @@ def test_malformed_inputs(files, capsys, tmp_path):
             "atoms[0].terms[0]: unknown term tag 'val'",
         ),
         (dict(OPEN_QUERY_DOC, answer_vars=["y"]), "do not occur in the body"),
+        (dict(OPEN_QUERY_DOC, atoms=[dict(atom, relation="S")]), "unknown relation 'S'"),
+        (
+            dict(OPEN_QUERY_DOC, atoms=[dict(atom, terms=[{"var": "x"}])]),
+            "atom R(x) has arity 1, schema says 2",
+        ),
     ]
     keyed = files("keyed.json", KEYED_DOC)
     cases = [

@@ -1,11 +1,14 @@
-"""Schema, database, FD, violation, conflict-graph, and block behavior."""
+"""Schema, database, FD, violation, and block behavior, and the package's
+public names."""
 
 from __future__ import annotations
 
 import random
+import types
 
 import pytest
 
+import opcqa
 from opcqa import (
     Block,
     ConstraintClassError,
@@ -16,11 +19,11 @@ from opcqa import (
     SchemaError,
     SizeCapError,
     blocks,
-    conflict_graph,
     fact,
+    gen_fd_lift,
     is_keys,
-    is_nontrivially_connected,
     is_primary_keys,
+    realize_repair,
     satisfies,
     violations,
 )
@@ -140,17 +143,6 @@ def test_satisfies_a_large_key_block_without_listing_pairs():
         assert satisfies(db, WIDE_FDS) == (not bf_violating_pairs(db.facts, WIDE_FDS, db.schema))
 
 
-def test_conflict_graph_shape():
-    db, sigma = triple_instance()
-    g = conflict_graph(db, sigma)
-    assert g.nodes == (F1, F2, F3)
-    assert g.has_edge(F1, F2) and g.has_edge(F2, F3) and not g.has_edge(F1, F3)
-    assert g.neighbors(F2) == {F1, F3}
-    assert g.is_independent([F1, F3])
-    assert not g.is_independent([F1, F2])
-    assert is_nontrivially_connected(g)
-
-
 def test_blocks_partition_and_order():
     db, sigma = keyed_instance()
     parts = blocks(db, sigma)
@@ -180,29 +172,75 @@ def test_independent_set_count_matches_enumeration():
     rng = random.Random(911)
     for _ in range(40):
         db = random_fd_instance(rng, max_facts=8)
-        g = conflict_graph(db, WIDE_FDS)
+        nodes = sorted(db.facts)
         edges = bf_violating_pairs(db.facts, WIDE_FDS, db.schema)
-        expected = bf_independent_sets(sorted(db.facts), edges)
-        assert count_independent_sets(g) == len(expected)
+        expected = bf_independent_sets(nodes, edges)
+        assert count_independent_sets(nodes, edges) == len(expected)
         nonempty = [s for s in expected if s]
-        assert count_independent_sets(g, nonempty_only=True) == len(nonempty)
+        assert count_independent_sets(nodes, edges, nonempty_only=True) == len(nonempty)
 
 
 def test_independent_set_cap():
     schema = Schema.of(R=("A", "B"))
     db = Database.of(schema, [fact("R", "a", str(i)) for i in range(30)])
-    g = conflict_graph(db, [FunctionalDependency.of("R", ("A",), ("B",))])
+    sigma = [FunctionalDependency.of("R", ("A",), ("B",))]
+    edges = bf_violating_pairs(db.facts, sigma, schema)
     with pytest.raises(SizeCapError):
-        count_independent_sets(g, cap=24)
+        count_independent_sets(sorted(db.facts), edges, cap=24)
 
 
 def test_trivial_connectivity_cases():
     schema = Schema.of(R=("A", "B"))
-    sigma = [FunctionalDependency.of("R", ("A",), ("B",))]
+    sigma = frozenset([FunctionalDependency.of("R", ("A",), ("B",))])
     lone = Database.of(schema, [fact("R", "a", "b")])
-    assert not is_nontrivially_connected(conflict_graph(lone, sigma))
+    outside = Database.of(
+        schema, [fact("R", "a", "1"), fact("R", "a", "2"), fact("R", "b", "1")]
+    )
     two_components = Database.of(
         schema,
         [fact("R", "a", "1"), fact("R", "a", "2"), fact("R", "b", "1"), fact("R", "b", "2")],
     )
-    assert not is_nontrivially_connected(conflict_graph(two_components, sigma))
+    for db in (lone, outside, two_components):
+        with pytest.raises(ValueError, match="non-trivially connected"):
+            realize_repair(db, sigma, db.restrict([]))
+        with pytest.raises(ValueError, match="non-trivially connected"):
+            gen_fd_lift(db, sigma)
+    block = Database.of(schema, [fact("R", "a", "1"), fact("R", "a", "2")])
+    assert realize_repair(block, sigma, block.restrict([])).result(block).facts == frozenset()
+    lifted, _, _ = gen_fd_lift(block, sigma)
+    assert lifted.fact_count == 3
+
+
+PUBLIC_NAMES = [
+    "Atom", "Block", "ConjunctiveQuery", "Constant", "ConstraintClassError",
+    "Database", "Estimate", "EstimatorConfig", "Fact", "FunctionalDependency",
+    "GENERATORS", "GeneratorKind", "OpcqaError", "Operation", "ParseError",
+    "Pos2DNF", "RandomSource", "RepairDistribution", "RepairingChain",
+    "RepairingSequence", "SampleOutcome", "Schema", "SchemaError",
+    "SequenceCountTable", "SizeCapError", "TARGET_GRAPH", "UO", "UO1", "UR",
+    "UR1", "US", "US1", "UndirectedGraph", "UnsupportedCombinationError",
+    "Variable", "ViolationSet", "adaptive_success_quota",
+    "additive_sample_count", "answer_probabilities", "answers",
+    "block_seq_count", "blocks", "brute_force_hom_count", "build_chain",
+    "build_sequence_count_table", "candidate_repairs", "canonical_sequences",
+    "count_candidate_repairs", "count_complete_sequences", "entails",
+    "enumerate_sequences", "estimate_probability", "exact_answer_probability",
+    "fact", "gen_fd_lift", "gen_fd_star", "gen_hcoloring_instance",
+    "gen_pos2dnf_instance", "hom_count_via_cqa", "homomorphisms", "is_keys",
+    "is_primary_keys", "justified_ops", "lower_bound",
+    "multiplicative_sample_count", "realize_repair", "repair_distribution",
+    "sample_outcome", "sample_repair_uniform", "sample_sequence_uniform",
+    "sample_sequence_uo", "sat_count_brute", "satisfies", "sequence_count",
+    "sequence_count_for_profile", "violations", "witnesses",
+]
+
+
+def test_public_names_are_pinned():
+    """Every change to the names the package exports edits this list, so
+    each removal is seen (and recorded in CHANGES.md)."""
+    public = sorted(
+        name
+        for name in dir(opcqa)
+        if not name.startswith("_") and not isinstance(getattr(opcqa, name), types.ModuleType)
+    )
+    assert public == PUBLIC_NAMES

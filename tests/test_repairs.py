@@ -630,19 +630,55 @@ def test_realize_repair_rejects_bad_targets():
 
 def test_realize_repair_random_targets():
     rng = random.Random(77)
-    from opcqa import conflict_graph, is_nontrivially_connected
-
-    from bruteforce import bf_independent_sets, random_connected_key_instance
+    from bruteforce import (
+        bf_independent_sets,
+        bf_nontrivially_connected,
+        bf_violating_pairs,
+        random_connected_key_instance,
+    )
 
     tried = 0
     while tried < 25:
         db, sigma = random_connected_key_instance(rng)
-        g = conflict_graph(db, sigma)
-        if not is_nontrivially_connected(g):
+        if not bf_nontrivially_connected(db, sigma):
             continue
-        sets = bf_independent_sets(sorted(db.facts), g.edges)
+        edges = bf_violating_pairs(db.facts, sigma, db.schema)
+        sets = bf_independent_sets(sorted(db.facts), edges)
         for kept in sets:
             witness = realize_repair(db, sigma, db.restrict(kept))
             witness.validate(db, sigma)
             assert witness.result(db).facts == frozenset(kept)
         tried += 1
+
+
+def test_realize_repair_and_lift_on_a_large_key_block_without_listing_pairs():
+    """One key block of 3,000 facts has 4.5M conflicting pairs; whether it
+    is connected, whether a target is independent and the strata of the
+    witness are read off its FD group and neighbour masks, cold and in
+    little memory."""
+    import tracemalloc
+
+    from opcqa import gen_fd_lift
+    from opcqa.repairs import _space
+
+    db, sigma = ladder_instance(1, 3000)
+    one = db.restrict(sorted(db.facts)[:1])
+    calls = {
+        "realize_repair, one fact kept": lambda: realize_repair(db, sigma, one),
+        "realize_repair, empty target": lambda: realize_repair(db, sigma, db.restrict([])),
+        "gen_fd_lift": lambda: gen_fd_lift(db, sigma),
+    }
+    got = {}
+    for name, call in calls.items():
+        _space.cache_clear()
+        tracemalloc.start()
+        try:
+            got[name] = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"{name}: {peak / 2**20:.1f} MB peak"
+    witness = got["realize_repair, one fact kept"]
+    assert len(witness) == 2999
+    assert witness.result(db).facts == one.facts
+    assert got["gen_fd_lift"][0].fact_count == 3001
