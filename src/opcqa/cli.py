@@ -367,15 +367,20 @@ def cmd_approx(args, out) -> int:
 def cmd_sample(args, out) -> int:
     db, sigma = load_instance(args.instance)
     kind = GENERATORS[args.generator]
+    # each fact and operation is formatted once per request
+    facts = [(f, str(f)) for f in db.sorted_facts]
+    names: dict = {}
     for i in range(args.n):
         outcome = sample_outcome(db, sigma, kind, RandomSource(args.seed, i))
+        kept = outcome.repair.facts
+        seq = outcome.sequence
         record = {
             "sequence": (
                 None
-                if outcome.sequence is None
-                else [str(op) for op in outcome.sequence]
+                if seq is None
+                else [names.get(op) or names.setdefault(op, str(op)) for op in seq]
             ),
-            "repair": [str(f) for f in outcome.repair.sorted_facts],
+            "repair": [name for f, name in facts if f in kept],
             "weight": 1,
         }
         _emit(record, out)

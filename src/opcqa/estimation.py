@@ -30,6 +30,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -251,7 +252,7 @@ class _Witnesses:
     touched components matter."""
 
     def __init__(self, space, q, answer, outcomes: Sequence[np.ndarray]):
-        comps, _ = space.components()
+        comps = space.components()
         where = {g: (c, 1 << i) for c, comp in enumerate(comps) for i, g in enumerate(comp.facts)}
         keeps: dict[tuple[int, int], np.ndarray] = {}
 
@@ -302,17 +303,29 @@ class _UoWalkStream:
     The components' cached DAGs are numbered one after another, and each
     lane holds one position per component. A step draws r below the
     lane's operation count, summed over the components
-    (_Lanes.randbelow_each), and takes the r-th
-    operation by the rule of repairs._Space.select, on the run offsets
-    of _Component.ops, here shifted to positions in the joint child
-    array. A lane's repair answers when it keeps a witness (_Witnesses,
-    on the residual masks of each component's DAG). Built from the DAGs
-    of _component_dags; lanes walk in slices of at most _LANE_CELLS
-    lane-runs, so memory does not grow with the batch."""
+    (_Lanes.randbelow_each), and takes the r-th operation in the
+    instance's canonical order, as sampling.sample_sequence_uo does. A
+    run is a maximal stretch of consecutive _Space facts in one
+    component. Operations sort by their first fact, so a run's
+    operations are a contiguous slice of its component's children, and
+    the canonical list takes those slices run after run. A lane's repair
+    answers when it keeps a witness (_Witnesses, on the residual masks
+    of each component's DAG). Built from the DAGs of _component_dags;
+    lanes walk in slices of at most _LANE_CELLS lane-runs, so memory
+    does not grow with the batch."""
 
     def __init__(self, space, dags, q, answer):
-        comps, runs = space.components()
-        width = max((len(comp.run_starts) for comp in comps), default=0) + 1
+        comps = space.components()
+        # runs in fact order, as (component, number among its runs), and
+        # per component the local index of each run's first fact
+        runs: list[tuple[int, int]] = []
+        starts: list[list[int]] = [[] for _ in comps]
+        seen = [0] * len(comps)
+        for c, run in groupby(space.component_of):
+            runs.append((c, len(starts[c])))
+            starts[c].append(seen[c])
+            seen[c] += len(list(run))
+        width = max(map(len, starts), default=0) + 1
         sizes = [len(dag.masks) for dag in dags]
         base = np.cumsum([0] + sizes)  # position of each DAG's first residual
         self._kids = np.empty(sum(len(dag.kids) for dag in dags), dtype=np.int64)
@@ -331,7 +344,7 @@ class _UoWalkStream:
             parent = np.repeat(np.arange(sizes[c]), np.diff(dag.starts))
             om = masks[c][parent] & ~masks[c][kids]
             first = np.frexp((om & -om).astype(np.float64))[1] - 1
-            bounds = np.asarray(comp.run_starts + (comp.n,), dtype=np.int64)
+            bounds = np.asarray(starts[c] + [comp.n], dtype=np.int64)
             wanted = np.arange(sizes[c])[:, None] * comp.n + bounds
             self._offsets[base[c] : base[c + 1], : bounds.size] = edges + np.searchsorted(
                 parent * comp.n + first, wanted
@@ -383,7 +396,7 @@ class _UrBlockStream:
     per block; the other blocks' draws are only consumed."""
 
     def __init__(self, space, kind, q, answer):
-        comps, _ = space.components()
+        comps = space.components()
         emptied = [] if kind.singleton_only else [0]
         # object arrays: a block may have more facts than an int64 has bits
         outcomes = [
@@ -411,7 +424,7 @@ def _component_dags(space, singleton_only: bool):
     has over 10 facts and the components' 2^facts add up to at most 2^16,
     so that the DAGs build in about the time of a few hundred scalar
     draws."""
-    comps, _ = space.components()
+    comps = space.components()
     limit = 1 << _VECTOR_MASK_LIMIT
     if space.n > _VECTOR_MASK_LIMIT and (
         max(comp.n for comp in comps) > _VECTOR_COMPONENT_LIMIT

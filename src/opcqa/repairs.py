@@ -29,10 +29,9 @@ uniform sequences fold into one table of counts by length.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from itertools import product
 from math import lcm, prod
 from operator import mul
@@ -140,14 +139,18 @@ class RepairingSequence:
         final residual is consistent, unless told otherwise).
 
         A pair violates an FD whatever else is present, so the check runs
-        on the bitmask view: a step is justified when it is one of the
-        justified operations of the residual mask it applies to.
+        on the bitmask view: a step is justified when its facts are present
+        and, for one fact, it has a present neighbour, or, for a pair, the
+        two are neighbours.
         """
         space = _space(db, frozenset(sigma))
         mask = space.full_mask
         for pos, op in enumerate(self.ops):
-            om = space.mask_of(op.removed)
-            if om is None or om not in space.justified(mask, False):
+            om = space.mask_of(op.removed) or 0  # 0: a fact in no conflict
+            low = om & -om
+            # the first fact's neighbours hold the pair's other fact, or for
+            # one fact some present fact
+            if not om or om & ~mask or not space.nbr[low.bit_length() - 1] & (om ^ low or mask):
                 raise ValueError(f"operation {op} at position {pos} is not justified")
             mask ^= om
         if require_complete and space.justified(mask, True):
@@ -297,69 +300,21 @@ class _Conflicts:
         return out
 
 
-# A component of at most this many facts keeps the operations of every
-# local residual a walk visits: at most 2^16 masks per mode.
-_OPS_TABLE_LIMIT = 16
-
-
-def _op_entry(facts: tuple[int, ...], om: int) -> tuple[tuple[int, ...], int]:
-    """The (_Space index tuple, local op mask) entry of an operation."""
-    return tuple(facts[i] for i in _op_indices(om)), om
-
-
 class _Component(_Conflicts):
     """One connected component of a _Space's conflict graph.
 
     Local bit i stands for the component's i-th fact in canonical order,
-    facts[i] is its index in the _Space. A run is a maximal stretch of
-    consecutive _Space facts that lie in one component; run_starts holds
-    the local index of the first fact of each of the component's runs.
-    An operation sorts by its first fact, so the operations of one run are
-    a contiguous slice of the component's canonical list, and the
-    instance's canonical list takes those slices run after run (see
-    _Space.select). The residual DAG of each mode is built on first use
-    (dag). The groups are in local indices.
+    facts[i] is its index in the _Space. The residual DAG of each mode is
+    built on first use (dag). The groups are in local indices.
     """
 
     def __init__(
-        self,
-        facts: tuple[int, ...],
-        groups: tuple[tuple[tuple[int, tuple], ...], ...],
-        run_starts: tuple[int, ...],
+        self, facts: tuple[int, ...], groups: tuple[tuple[tuple[int, tuple], ...], ...]
     ):
         super().__init__(len(facts), groups)
         self.facts = facts
-        self.run_starts = run_starts
-        self._run_bits = tuple(1 << s for s in run_starts)
-        # filled only when n <= _OPS_TABLE_LIMIT
-        self._tables: tuple[dict, dict] = ({}, {})
         # the residual DAG of each mode, indexed by singleton_only
         self._dags: list[_Dag | None] = [None, None]
-
-    @cached_property
-    def _entry(self):
-        """Each operation's entry (see _op_entry), made once for all tables."""
-        return lru_cache(maxsize=None)(partial(_op_entry, self.facts))
-
-    def ops(
-        self, mask: int, singleton_only: bool
-    ) -> tuple[tuple[tuple[tuple[int, ...], int], ...], tuple[int, ...]]:
-        """Justified operations of a local residual in canonical order, as
-        (_Space index tuple, local op mask) pairs, and the offsets of its
-        runs: the position of each run's first operation in that list,
-        then the list's length. Kept in a table for small components,
-        recomputed for larger ones."""
-        table = self._tables[singleton_only]
-        hit = table.get(mask)
-        if hit is None:
-            found = self.justified(mask, singleton_only)
-            # an operation's lowest bit is its first fact
-            firsts = [om & -om for om in found]
-            offsets = tuple(bisect_left(firsts, b) for b in self._run_bits)
-            hit = (tuple(map(self._entry, found)), offsets + (len(found),))
-            if self.n <= _OPS_TABLE_LIMIT:
-                table[mask] = hit
-        return hit
 
     def dag(self, singleton_only: bool, cap: int) -> _Dag:
         """The residual DAG of a mode, built once and cached.
@@ -427,19 +382,17 @@ class _Space(_Conflicts):
             tuple(tuple((self.index[f], b) for f, b in g) for _, g in found),
         )
         self.untouched: frozenset[Fact] = db.facts - frozenset(self.facts)
-        self._split: tuple[tuple[_Component, ...], tuple[tuple[int, int], ...]] | None = None
+        self._components: tuple[_Component, ...] | None = None
         # component_of[i]: the component of conflict fact i, set by components()
         self.component_of: tuple[int, ...] = ()
         self._block_order: tuple[int, ...] | None = None
         self._operations: dict[tuple[int, ...], Operation] = {}
 
-    def components(self) -> tuple[tuple[_Component, ...], tuple[tuple[int, int], ...]]:
+    def components(self) -> tuple[_Component, ...]:
         """The connected components of the conflict graph, ordered by their
-        first fact, and for each run (see _Component), in fact order, the
-        component it lies in and its number among that component's runs;
-        computed on first use. Under primary keys the components are the
+        first fact; computed on first use. Under primary keys they are the
         blocks of two or more facts."""
-        if self._split is None:
+        if self._components is None:
             parent = list(range(self.n))
 
             def root(i: int) -> int:
@@ -457,17 +410,11 @@ class _Space(_Conflicts):
             component_of: list[int] = []
             local = [0] * self.n
             members: list[list[int]] = []
-            run_starts: list[list[int]] = []
-            runs: list[tuple[int, int]] = []
             for i in range(self.n):
                 c = number.setdefault(root(i), len(members))
                 component_of.append(c)
                 if c == len(members):
                     members.append([])
-                    run_starts.append([])
-                if not runs or runs[-1][0] != c:
-                    runs.append((c, len(run_starts[c])))
-                    run_starts[c].append(len(members[c]))
                 local[i] = len(members[c])
                 members[c].append(i)
             groups: list[list[tuple]] = [[] for _ in members]
@@ -475,15 +422,12 @@ class _Space(_Conflicts):
                 groups[component_of[group[0][0]]].append(
                     tuple((local[i], b) for i, b in group)
                 )
-            comps = tuple(
-                _Component(tuple(f), tuple(g), tuple(r))
-                for f, g, r in zip(members, groups, run_starts)
-            )
+            comps = tuple(_Component(tuple(f), tuple(g)) for f, g in zip(members, groups))
             # assigned whole, so that threads racing through a first call
             # all leave the same state
             self.component_of = tuple(component_of)
-            self._split = (comps, tuple(runs))
-        return self._split
+            self._components = comps
+        return self._components
 
     def block_order(self) -> tuple[int, ...]:
         """The components in the order of relational.blocks (relation, then
@@ -497,19 +441,6 @@ class _Space(_Conflicts):
                 if b.size >= 2
             )
         return self._block_order
-
-    def select(self, offsets: list[tuple[int, ...]], r: int) -> tuple[int, int]:
-        """The r-th justified operation of a joint residual in canonical
-        order, given each component's run offsets (see _Component.ops), as
-        (component, position in that component's list): the run where the
-        running count passes r, then the offset within it."""
-        for c, j in self.components()[1]:
-            off = offsets[c]
-            n = off[j + 1] - off[j]
-            if r < n:
-                return c, off[j] + r
-            r -= n
-        raise IndexError(r)
 
     def mask_of(self, facts: Iterable[Fact]) -> int | None:
         """Mask of distinct conflict facts, or None if one of them is in no
@@ -550,7 +481,7 @@ def _nontrivially_connected(db: Database, sigma: frozenset[FunctionalDependency]
     """Every fact is in a conflict and all lie in one component, so there
     are at least two facts."""
     space = _space(db, sigma)
-    return not space.untouched and len(space.components()[0]) == 1
+    return not space.untouched and len(space.components()) == 1
 
 
 def _capped_dags(space: _Space, singleton_only: bool, cap: int) -> list[_Dag]:
@@ -559,7 +490,7 @@ def _capped_dags(space: _Space, singleton_only: bool, cap: int) -> list[_Dag]:
     product of its components' counts: up front when their matchings
     prove it, during a component's walk once that component alone passes
     the cap, and otherwise on the product."""
-    comps, _ = space.components()
+    comps = space.components()
     _check_cap(3 ** sum(comp.matching for comp in comps), cap)
     dags = [comp.dag(singleton_only, cap) for comp in comps]
     _check_cap(prod(len(dag.masks) for dag in dags), cap)
@@ -1013,7 +944,7 @@ def _tables(space: _Space, kind: GeneratorKind, cap: int) -> list[_Table]:
     """One table per connected component of the conflict graph; fails
     like _capped_dags."""
     dags = _capped_dags(space, kind.singleton_only, cap)
-    comps, _ = space.components()
+    comps = space.components()
     single = len(comps) == 1
     return [_table(comp, dag, kind.family, single) for comp, dag in zip(comps, dags)]
 

@@ -18,19 +18,21 @@ count) is stream (seed, base + i), and its randbelow draws and redraws
 exactly as RandomSource.randbelow does, for all lanes in one array
 operation. The estimators' vector streams draw only through it.
 
-Every sampler reads the conflict components of repairs._Space. Under
-primary keys those components are the blocks of two or more facts: the
-uniform-repair sampler draws one outcome per block in block order
-(relation, then key values), and the uniform-sequences sampler scans the
-conflict facts in fact order, so the order of the blocks never affects
-its draws.
+The uniform-repair and uniform-sequences samplers read the conflict
+components of repairs._Space. Under primary keys those components are
+the blocks of two or more facts: the uniform-repair sampler draws one
+outcome per block in block order (relation, then key values), and the
+uniform-sequences sampler scans the conflict facts in fact order, so the
+order of the blocks never affects its draws. The uniform-operations walk
+reads only the neighbour masks of the _Space, for any FDs.
 """
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable
 
 import numpy as np
@@ -211,7 +213,7 @@ def sample_repair_uniform(
     sigma = frozenset(sigma)
     _require_sampler(db, sigma, UR1 if singleton_only else UR)
     space = _space(db, sigma)
-    comps, _ = space.components()
+    comps = space.components()
     kept = set(space.untouched)
     for c in space.block_order():
         members = comps[c].facts
@@ -266,7 +268,7 @@ def sample_sequence_uniform(
     sigma = frozenset(sigma)
     _require_sampler(db, sigma, US1 if singleton_only else US)
     space = _space(db, sigma)
-    comps, _ = space.components()
+    comps = space.components()
     block = space.component_of
     remaining = [list(comp.facts) for comp in comps]
     sizes = [comp.n for comp in comps]
@@ -319,31 +321,49 @@ def sample_sequence_uo(
     """Random walk picking a justified operation uniformly at each step.
 
     Works for arbitrary FD sets; the leaf distribution is the
-    uniform-operations chain's by construction. The walk holds one local
-    residual per conflict component. A step draws r below the number of
-    operations of all components and takes the r-th in the instance's
-    canonical order (repairs._Space.select); only the component it
-    touches changes.
+    uniform-operations chain's by construction. The walk holds one mask
+    over the conflict facts and, per fact f, the number of justified
+    operations that start at f in canonical order: -f when f has a
+    present neighbour, then in pair mode -{f,g} for each present
+    neighbour g after f. A step draws r below their sum and takes the
+    r-th operation from a running sum of the counts; only the counts of
+    the removed facts' present neighbours change.
     """
     space = _space(db, frozenset(sigma))
-    comps, _ = space.components()
-    masks = [comp.full_mask for comp in comps]
-    ops: list[tuple] = []
-    offsets: list[tuple[int, ...]] = []
-    for comp in comps:
-        found, off = comp.ops(comp.full_mask, singleton_only)
-        ops.append(found)
-        offsets.append(off)
-    total = sum(map(len, ops))
+    nbr = space.nbr
+    mask = space.full_mask
+    # every conflict fact has a neighbour in the full database
+    counts = [1 if singleton_only else 1 + (row >> i + 1).bit_count() for i, row in enumerate(nbr)]
+    sums = list(accumulate(counts, initial=0))
     path: list[tuple[int, ...]] = []
-    while total:
-        c, k = space.select(offsets, rng.randbelow(total))
-        idx, om = ops[c][k]
-        path.append(idx)
-        masks[c] &= ~om
-        total -= len(ops[c])
-        ops[c], offsets[c] = comps[c].ops(masks[c], singleton_only)
-        total += len(ops[c])
+    while sums[-1]:
+        r = rng.randbelow(sums[-1])
+        i = bisect_right(sums, r) - 1
+        r -= sums[i]
+        if r:  # the r-th present neighbour after fact i
+            later = nbr[i] & mask & -(2 << i)
+            for _ in range(r - 1):
+                later &= later - 1
+            removed = (i, (later & -later).bit_length() - 1)
+        else:
+            removed = (i,)
+        path.append(removed)
+        touched = 0
+        for k in removed:
+            mask ^= 1 << k
+            counts[k] = 0
+            touched |= nbr[k]
+        touched &= mask
+        while touched:
+            low = touched & -touched
+            touched ^= low
+            g = low.bit_length() - 1
+            present = nbr[g] & mask
+            if not present:
+                counts[g] = 0
+            elif not singleton_only:
+                counts[g] = 1 + (present >> g + 1).bit_count()
+        sums = list(accumulate(counts, initial=0))
     return RepairingSequence(tuple(space.operation_of(idx) for idx in path))
 
 

@@ -26,6 +26,7 @@ from opcqa import (
     justified_ops,
     repair_distribution,
     sample_outcome,
+    sample_sequence_uo,
     satisfies,
     sequence_count,
     sequence_count_for_profile,
@@ -185,29 +186,20 @@ INTERLEAVED = (wide_db_of([(0, 0, 0), (0, 0, 1), (1, 1, 0), (2, 1, 1)]), WIDE_FD
 def test_dag_children_are_the_justified_operations(instance, singleton_only):
     db, sigma = instance
     space = _space(db, sigma)
-    reference = _Component(tuple(range(space.n)), space.groups, (0,))
+    reference = _Component(tuple(range(space.n)), space.groups)
     dag = reference.dag(singleton_only, DEFAULT_TREE_CAP)
     for i, mask in enumerate(dag.masks):
         ops = [space.operation_of(_op_indices(mask ^ dag.masks[c])) for c in dag.children(i)]
         assert ops == justified_ops(space.database_of(mask), sigma, singleton_only)
-    # per component, with the others whole: the operations tables merged
-    # by _Space.select list the joint residual's operations in order
-    comps, _ = space.components()
-    whole = [comp.ops(comp.full_mask, singleton_only) for comp in comps]
-    for c, comp in enumerate(comps):
-        for local in comp.dag(singleton_only, DEFAULT_TREE_CAP).masks:
-            tables = list(whole)
-            tables[c] = comp.ops(local, singleton_only)
-            offsets = [off for _, off in tables]
-            picked = [
-                tables[d][0][k][0]
-                for d, k in (space.select(offsets, r) for r in range(sum(o[-1] for o in offsets)))
-            ]
-            gone = sum(1 << g for k, g in enumerate(comp.facts) if not local >> k & 1)
-            joint = space.database_of(space.full_mask & ~gone)
-            assert list(map(space.operation_of, picked)) == justified_ops(
-                joint, sigma, singleton_only
-            )
+    # the walk takes, for the same draws, the operation that a walk over
+    # residual databases takes from justified_ops
+    for seed in range(20):
+        ref, current, taken = RandomSource(seed), db, []
+        while ops := justified_ops(current, sigma, singleton_only):
+            taken.append(ops[ref.randbelow(len(ops))])
+            current = current.restrict(current.facts - taken[-1].removed)
+        walk = sample_sequence_uo(db, sigma, RandomSource(seed), singleton_only)
+        assert walk.ops == tuple(taken)
 
 
 def _masks_of(n: int, pairs) -> list[int]:
@@ -237,7 +229,7 @@ def test_neighbour_masks_and_matchings_follow_the_violating_pairs(rows):
     pairs = [sorted(space.index[f] for f in pair) for pair in violations(db, WIDE_FDS).pairs]
     assert space.nbr == _masks_of(space.n, pairs)
     assert space.matching == greedy_matching(map(tuple, pairs))
-    comps, _ = space.components()
+    comps = space.components()
     for comp in comps:
         local = {g: i for i, g in enumerate(comp.facts)}
         mine = [(local[i], local[j]) for i, j in pairs if i in local]
@@ -281,7 +273,7 @@ def assert_uo_matches_reference(db, sigma, singleton_only: bool) -> None:
     """repair_distribution for uo/uo1 against a Fraction forward pass over
     the whole instance's residual DAG."""
     space = _space(db, frozenset(sigma))
-    reference = _Component(tuple(range(space.n)), space.groups, (0,))
+    reference = _Component(tuple(range(space.n)), space.groups)
     dag = reference.dag(singleton_only, DEFAULT_TREE_CAP)
     weight = uo_forward_reference(dag.masks, dag.starts, dag.kids)
     expected = {space.database_of(dag.masks[i]).facts: weight[i] for i in dag.leaf_positions()}

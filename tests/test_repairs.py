@@ -281,7 +281,7 @@ def test_exact_cap_counts_the_whole_instance():
     db, sigma = keyed_instance()
     q = keyed_query()
     space = _space(db, sigma)
-    whole = _Component(tuple(range(space.n)), space.groups, (0,))
+    whole = _Component(tuple(range(space.n)), space.groups)
     for kind in GENERATORS.values():
         states = len(whole.dag(kind.singleton_only, DEFAULT_TREE_CAP).masks)
         assert states == (21 if kind.singleton_only else 32)
@@ -654,8 +654,8 @@ def test_realize_repair_random_targets():
 def test_realize_repair_and_lift_on_a_large_key_block_without_listing_pairs():
     """One key block of 3,000 facts has 4.5M conflicting pairs; whether it
     is connected, whether a target is independent and the strata of the
-    witness are read off its FD group and neighbour masks, cold and in
-    little memory."""
+    witness are read off its FD group and neighbour masks, and the witness
+    validates step by step on those masks, cold and in little memory."""
     import tracemalloc
 
     from opcqa import gen_fd_lift
@@ -667,6 +667,9 @@ def test_realize_repair_and_lift_on_a_large_key_block_without_listing_pairs():
         "realize_repair, one fact kept": lambda: realize_repair(db, sigma, one),
         "realize_repair, empty target": lambda: realize_repair(db, sigma, db.restrict([])),
         "gen_fd_lift": lambda: gen_fd_lift(db, sigma),
+        "validate, one fact kept": lambda: got["realize_repair, one fact kept"].validate(
+            db, sigma
+        ),
     }
     got = {}
     for name, call in calls.items():

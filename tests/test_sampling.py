@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import time
 import tracemalloc
 
 import pytest
@@ -262,12 +263,28 @@ def test_uo_walk_draws_are_pinned():
         ]
         assert got == want, (name, label)
     # the shapes the pins stand for
-    comps, runs = _space(*ladder_instance()).components()
+    comps = _space(*ladder_instance()).components()
     assert len(comps) == 6 and sum(c.n for c in comps) > 16
-    comps, runs = _space(*interleaved_instance()).components()
-    assert len(comps) == 4 and len(runs) > len(comps)  # components interleave
-    comps, _ = _space(*one_component_instance()).components()
-    assert [c.n for c in comps] == [7]
+    space = _space(*interleaved_instance())
+    assert len(space.components()) == 4
+    owners = space.component_of
+    assert owners != tuple(sorted(owners))  # components interleave
+    assert [c.n for c in _space(*one_component_instance()).components()] == [7]
+
+
+def test_cold_uo_draws_on_a_300_fact_key_block_take_under_a_second():
+    """A walk step reads per-fact operation counts, not the O(m^2)
+    operations of its residual, and validate tests each step on the
+    neighbour masks: a cold draw in each mode on one key block of 300
+    facts, each validated, takes well under a second."""
+    db, sigma = ladder_instance(1, 300)
+    started = time.perf_counter()
+    for singleton_only in (False, True):
+        _space.cache_clear()
+        seq = sample_sequence_uo(db, sigma, RandomSource(0), singleton_only)
+        seq.validate(db, sigma)
+        assert len(seq.result(db).facts) <= 1
+    assert time.perf_counter() - started < 1.0
 
 
 def test_uo_walk_memory_stays_bounded_on_a_25_block_ladder():
@@ -460,9 +477,9 @@ def test_ur_draws_on_a_large_block_list_no_pairs():
         for kind in (UR, UR1):
             assert len(sample_outcome(db, sigma, kind, RandomSource(seed)).repair.facts) <= 1
     space = _space(db, sigma)
-    assert space.n == m and [c.n for c in space.components()[0]] == [m]
+    assert space.n == m and [c.n for c in space.components()] == [m]
     assert "nbr" not in vars(space)
-    assert all("nbr" not in vars(c) for c in space.components()[0])
+    assert all("nbr" not in vars(c) for c in space.components())
 
 
 def test_components_are_built_once_under_racing_threads():
@@ -477,7 +494,8 @@ def test_components_are_built_once_under_racing_threads():
 
 
 def _check_racing_components(make):
-    want = _Space(*make()).components()
+    want = _Space(*make())
+    want.components()
     space = _Space(*make())
     barrier = threading.Barrier(4, timeout=30)
     threads = [threading.Thread(target=lambda: (barrier.wait(), space.components())) for _ in range(4)]
@@ -486,11 +504,10 @@ def _check_racing_components(make):
     for t in threads:
         t.join(timeout=30)
         assert not t.is_alive()
-    assert len(space.component_of) == space.n
-    comps, runs = space.components()
-    assert runs == want[1]
-    assert [c.facts for c in comps] == [c.facts for c in want[0]]
-    assert [c.nbr for c in comps] == [c.nbr for c in want[0]]
+    assert space.component_of == want.component_of and len(space.component_of) == space.n
+    comps, wanted = space.components(), want.components()
+    assert [c.facts for c in comps] == [c.facts for c in wanted]
+    assert [c.nbr for c in comps] == [c.nbr for c in wanted]
 
 
 def test_sample_outcome_rejects_ur_us_beyond_primary_keys():
