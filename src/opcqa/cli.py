@@ -22,7 +22,7 @@ import json
 import sys
 import time
 from fractions import Fraction
-from typing import Any
+from typing import Any, Iterable
 
 from .errors import (
     ConstraintClassError,
@@ -246,16 +246,20 @@ def _record(command: str, wall: float, **fields) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _answer_targets(args, q: ConjunctiveQuery, db: Database) -> list[tuple[str, ...]]:
+def _answer_targets(args, q: ConjunctiveQuery, db: Database) -> Iterable[tuple[str, ...]]:
+    """The tuples a request asks about, in output order; --all-answers streams them."""
+    exact = hasattr(args, "all_answers")  # approx takes --tuple only
     if q.is_boolean:
-        if args.tuple is not None or args.all_answers:
-            raise ParseError("Boolean queries take no --tuple / --all-answers")
+        if args.tuple is not None or (exact and args.all_answers):
+            named = "--tuple / --all-answers" if exact else "--tuple"
+            raise ParseError(f"Boolean queries take no {named}")
         return [()]
     arity = len(q.answer_variables)
-    if args.all_answers:
-        return list(itertools.product(sorted(db.adom), repeat=arity))
+    if exact and args.all_answers:
+        return itertools.product(sorted(db.adom), repeat=arity)
     if args.tuple is None:
-        raise ParseError("non-Boolean query: pass --tuple or --all-answers")
+        named = "--tuple or --all-answers" if exact else "--tuple"
+        raise ParseError(f"non-Boolean query: pass {named}")
     values = tuple(args.tuple.split(","))
     if len(values) != arity:
         raise ParseError(f"--tuple carries {len(values)} values, query needs {arity}")
@@ -320,18 +324,7 @@ def cmd_count(args, out) -> int:
 def cmd_approx(args, out) -> int:
     db, sigma, q = _load_inputs(args)
     kind = GENERATORS[args.generator]
-    if q.is_boolean:
-        if args.tuple is not None:
-            raise ParseError("Boolean queries take no --tuple")
-        c: tuple[str, ...] = ()
-    else:
-        if args.tuple is None:
-            raise ParseError("non-Boolean query: pass --tuple")
-        c = tuple(args.tuple.split(","))
-        if len(c) != len(q.answer_variables):
-            raise ParseError(
-                f"--tuple carries {len(c)} values, query needs {len(q.answer_variables)}"
-            )
+    (c,) = _answer_targets(args, q, db)
     config = EstimatorConfig(
         epsilon=args.eps,
         delta=args.delta,
@@ -539,22 +532,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()  # configuration, built once per process
+
+# exit status per error class; every other OpcqaError or ValueError is 2
+_EXIT_CODES = {SizeCapError: 3, UnsupportedCombinationError: 4, ConstraintClassError: 4}
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return args.func(args, sys.stdout)
-    except (ParseError, SchemaError, ValueError) as exc:
+    except (OpcqaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SizeCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (UnsupportedCombinationError, ConstraintClassError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OpcqaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _EXIT_CODES.get(type(exc), 2)
 
 
 if __name__ == "__main__":

@@ -2,13 +2,28 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import opcqa.cli as cli
 from opcqa.cli import dump_instance, load_instance, main
+from opcqa.errors import (
+    ConstraintClassError,
+    OpcqaError,
+    ParseError,
+    SchemaError,
+    SizeCapError,
+    UnsupportedCombinationError,
+)
 
 from fixtures import keyed_instance, triple_instance, two_key_path_instance
 
@@ -150,6 +165,53 @@ def test_exact_all_answers_lists_every_tuple_like_single_tuples(files, capsys):
             assert code == 0
             record.pop("wall_time_s"), single.pop("wall_time_s")
             assert single == record
+
+
+class _StdoutFull(Exception):
+    pass
+
+
+class _StopAfter:
+    """A stdout that takes `records` lines and raises on the next write."""
+
+    def __init__(self, records: int) -> None:
+        self.left = records
+
+    def write(self, text: str) -> int:
+        if self.left <= 0:
+            raise _StdoutFull
+        self.left -= text.count("\n")
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def test_exact_all_answers_streams_its_records(files, capsys, monkeypatch):
+    # 152 constants and a three-variable head: 152^3 = 3.5M candidate
+    # tuples, which a materialised list holds as about 244 MB
+    doc = {
+        "schema": {"R": ["A", "B"]},
+        "facts": [["R", f"c{i}", f"c{i + 1}"] for i in range(151)],
+        "fds": [{"relation": "R", "lhs": ["A"], "rhs": ["B"]}],
+    }
+    query = {
+        "answer_vars": ["x", "y", "z"],
+        "atoms": [
+            {"relation": "R", "terms": [{"var": "x"}, {"var": "y"}]},
+            {"relation": "R", "terms": [{"var": "y"}, {"var": "z"}]},
+        ],
+    }
+    argv = ["exact", files("chain.json", doc), files("q3.json", query)]
+    monkeypatch.setattr(sys, "stdout", _StopAfter(1000))
+    tracemalloc.start()
+    try:
+        with pytest.raises(_StdoutFull):
+            main(argv + ["--generator", "ur", "--all-answers"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"{peak / 2**20:.1f} MB before the 1,000th record"
 
 
 def test_exact_on_a_1500_atom_query(files, capsys):
@@ -736,6 +798,70 @@ def test_malformed_inputs(files, capsys, tmp_path):
         bad = inst if q == query else q
         assert code == 2 and err.startswith(f"error: {bad}: ") and message in err, message
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (ParseError, 2),
+        (SchemaError, 2),
+        (ValueError, 2),
+        (SizeCapError, 3),
+        (UnsupportedCombinationError, 4),
+        (ConstraintClassError, 4),
+        (OpcqaError, 2),
+    ],
+)
+def test_exit_code_of_each_error_class(files, capsys, monkeypatch, error, code):
+    def fail(*args, **kwargs):
+        raise error(f"raised {error.__name__}")
+
+    monkeypatch.setattr(cli, "answer_probabilities", fail)
+    inst = files("keyed.json", KEYED_DOC)
+    query = files("q.json", OPEN_QUERY_DOC)
+    got, records, err = run(capsys, "exact", inst, query, "--generator", "ur", "--tuple", "b1")
+    assert got == code
+    assert records == []
+    assert err == f"error: raised {error.__name__}\n"
+
+
+def test_requests_in_one_process_match_fresh_processes(files, capsys, monkeypatch):
+    """main serves one request after another, an error among them, with
+    the parser built at import; each prints what a fresh process prints."""
+    inst = files("keyed.json", KEYED_DOC)
+    query = files("q.json", OPEN_QUERY_DOC)
+    requests = [
+        ["exact", inst, query, "--generator", "us", "--all-answers"],
+        ["exact", inst, query, "--generator", "ur"],  # no --tuple: exit 2
+        ["sample", inst, "--generator", "uo", "-n", "4", "--seed", "3"],
+        ["approx", inst, query, "--generator", "ur", "--eps", "0.1", "--delta", "0.1",
+         "--mode", "additive", "--seed", "5", "--tuple", "b1"],
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    fresh = [
+        subprocess.run(
+            [sys.executable, "-m", "opcqa.cli", *argv], capture_output=True, text=True, env=env
+        )
+        for argv in requests
+    ]
+
+    def no_parser(*args, **kwargs):
+        raise AssertionError("main built an ArgumentParser")
+
+    def records(out: str) -> list[dict]:
+        lines = [json.loads(line) for line in out.splitlines()]
+        for line in lines:
+            line.pop("wall_time_s", None)
+        return lines
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", no_parser)
+    for argv, want in zip(requests, fresh):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, records(out), err) == (want.returncode, records(want.stdout), want.stderr)
+    assert [p.returncode for p in fresh] == [0, 2, 0, 0]
 
 
 def test_load_dump_round_trip_of_fixture_instances(tmp_path):
