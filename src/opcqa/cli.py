@@ -53,7 +53,7 @@ from .repairs import (
     canonical_sequences,
     sequence_count,
 )
-from .sampling import RandomSource, sample_outcome
+from .sampling import _DRAWS, RandomSource, _sampler_space
 
 __all__ = ["main", "load_instance", "load_query", "dump_instance", "dump_query"]
 
@@ -360,20 +360,18 @@ def cmd_approx(args, out) -> int:
 def cmd_sample(args, out) -> int:
     db, sigma = load_instance(args.instance)
     kind = GENERATORS[args.generator]
-    # each fact and operation is formatted once per request
-    facts = [(f, str(f)) for f in db.sorted_facts]
-    names: dict = {}
+    space = _sampler_space(db, sigma, kind)
+    # each fact and operation is formatted once per request; a fact in no
+    # conflict has mask 0, so every draw keeps it
+    facts = [(space.mask_of([f]) or 0, str(f)) for f in db.sorted_facts]
+    names: dict[tuple[int, ...], str] = {}
     for i in range(args.n):
-        outcome = sample_outcome(db, sigma, kind, RandomSource(args.seed, i))
-        kept = outcome.repair.facts
-        seq = outcome.sequence
+        mask, path = _DRAWS[kind.family](space, RandomSource(args.seed, i), kind.singleton_only)
         record = {
-            "sequence": (
-                None
-                if seq is None
-                else [names.get(op) or names.setdefault(op, str(op)) for op in seq]
-            ),
-            "repair": [name for f, name in facts if f in kept],
+            "sequence": None if path is None else [
+                names.get(ix) or names.setdefault(ix, str(space.operation_of(ix))) for ix in path
+            ],
+            "repair": [name for bit, name in facts if bit & mask == bit],
             "weight": 1,
         }
         _emit(record, out)

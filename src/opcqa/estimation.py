@@ -36,10 +36,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SizeCapError, UnsupportedCombinationError
-from .queries import ConjunctiveQuery, witnesses
+from .queries import ConjunctiveQuery
 from .relational import Database, FunctionalDependency, is_keys, is_primary_keys
-from .repairs import GeneratorKind, _space
-from .sampling import RandomSource, _Lanes, _require_sampler, sample_outcome
+from .repairs import GeneratorKind
+from .sampling import _DRAWS, RandomSource, _Lanes, _sampler_space
 
 __all__ = [
     "E_OVER",
@@ -213,8 +213,10 @@ def adaptive_success_quota(epsilon: Fraction, delta: Fraction) -> int:
 # repair entails the answer. The scalar stream is the reference; the
 # vector streams draw trial t on lane t of sampling._Lanes(seed, base,
 # count), which consumes as RandomSource does, so they reproduce its draws
-# exactly. Every stream evaluates the query once, on the full database,
-# and tests a repair by whether it keeps one of the answer's witnesses.
+# exactly. Every stream looks the residual space up once, evaluates the
+# query once on the full database, and tests a repair by whether its mask
+# over the conflict facts keeps one of the answer's witness masks
+# (_Space.answer_masks).
 
 _CHUNK = 1 << 16
 _VECTOR_MASK_LIMIT = 16  # conflict facts; see _component_dags
@@ -223,20 +225,22 @@ _LANE_CELLS = 1 << 21  # lanes times runs walked at once by the vector walk
 
 
 class _ScalarStream:
-    """Reference implementation: one pure-Python sampler call per trial."""
+    """Reference implementation: one pure-Python draw per trial, by the
+    mask form of the kind's sampler (sampling._DRAWS) on a space looked
+    up once, and a test of its kept mask against each witness mask."""
 
     def __init__(self, db, sigma, kind, q, answer):
-        self._args = (db, sigma, kind)
-        self._witnesses = witnesses(q, db, answer).get(answer, ())
-        self.witnessed = bool(self._witnesses)
+        space = _sampler_space(db, sigma, kind)
+        self._args = (space, _DRAWS[kind.family], kind.singleton_only)
+        self._masks = space.answer_masks(q, answer).get(answer, ())
+        self.witnessed = bool(self._masks)
 
     def batch(self, seed: int, base: int, count: int) -> np.ndarray:
-        db, sigma, kind = self._args
+        space, draw, single = self._args
         out = np.empty(count, dtype=np.uint8)
         for t in range(count):
-            rng = RandomSource(seed, base + t)
-            kept = sample_outcome(db, sigma, kind, rng).repair.facts
-            out[t] = any(w <= kept for w in self._witnesses)
+            mask = draw(space, RandomSource(seed, base + t), single)[0]
+            out[t] = any(w & mask == w for w in self._masks)
         return out
 
 
@@ -435,17 +439,14 @@ def _component_dags(space, singleton_only: bool):
 
 
 def _indicator_stream(db, sigma, kind, q, answer):
-    sigma = frozenset(sigma)
     answer = tuple(answer)
-    _require_sampler(db, sigma, kind)
-    if kind.family == "uo":
-        space = _space(db, sigma)
-        dags = _component_dags(space, kind.singleton_only)
-        if dags is not None:
-            return _UoWalkStream(space, dags, q, answer)
+    space = _sampler_space(db, sigma, kind)
     if kind.family == "ur":
-        return _UrBlockStream(_space(db, sigma), kind, q, answer)
-    return _ScalarStream(db, sigma, kind, q, answer)
+        return _UrBlockStream(space, kind, q, answer)
+    dags = _component_dags(space, kind.singleton_only) if kind.family == "uo" else None
+    if dags is not None:
+        return _UoWalkStream(space, dags, q, answer)
+    return _ScalarStream(space.db, space.sigma, kind, q, answer)
 
 
 def _trials(stream, rng: RandomSource, first: int, total: int, threads: int):

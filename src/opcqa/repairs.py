@@ -46,6 +46,7 @@ from .relational import (
     FunctionalDependency,
     blocks,
     conflict_groups,
+    is_primary_keys,
     satisfies,
     violations,
 )
@@ -382,6 +383,7 @@ class _Space(_Conflicts):
             tuple(tuple((self.index[f], b) for f, b in g) for _, g in found),
         )
         self.untouched: frozenset[Fact] = db.facts - frozenset(self.facts)
+        self.primary_keys = is_primary_keys(sigma, db.schema)
         self._components: tuple[_Component, ...] | None = None
         # component_of[i]: the component of conflict fact i, set by components()
         self.component_of: tuple[int, ...] = ()
@@ -460,8 +462,11 @@ class _Space(_Conflicts):
         }
 
     def database_of(self, mask: int) -> Database:
-        kept = frozenset(self.facts[i] for i in range(self.n) if mask >> i & 1)
-        return self.db._subset(kept | self.untouched)
+        kept = []
+        while mask:
+            kept.append(self.facts[(mask & -mask).bit_length() - 1])
+            mask &= mask - 1
+        return self.db._subset(self.untouched.union(kept))
 
     def operation_of(self, idx: tuple[int, ...]) -> Operation:
         """The operation removing the indexed facts, made once per index

@@ -24,7 +24,11 @@ the blocks of two or more facts: the uniform-repair sampler draws one
 outcome per block in block order (relation, then key values), and the
 uniform-sequences sampler scans the conflict facts in fact order, so the
 order of the blocks never affects its draws. The uniform-operations walk
-reads only the neighbour masks of the _Space, for any FDs.
+reads only the neighbour masks of the _Space, for any FDs. Each sampler
+has a mask form (_DRAWS): on the _Space that _sampler_space looks up and
+checks once, it returns the kept conflict facts as a mask and the op
+index path (None for uniform repairs), from which the public samplers
+build their Database and RepairingSequence.
 """
 
 from __future__ import annotations
@@ -39,8 +43,10 @@ import numpy as np
 
 from .counting import _profile_count
 from .errors import UnsupportedCombinationError
-from .relational import Database, FunctionalDependency, is_primary_keys
-from .repairs import UR, UR1, US, US1, GeneratorKind, RepairingSequence, _space
+from .relational import Database, FunctionalDependency
+from .repairs import (
+    UO, UR, UR1, US, US1, GeneratorKind, RepairingSequence, _Path, _sequence_of, _Space, _space
+)
 
 __all__ = [
     "GOLDEN",
@@ -190,38 +196,31 @@ class SampleOutcome:
 
 
 # ---------------------------------------------------------------------------
-# Block-structured samplers (primary keys)
+# Samplers: mask forms (space, rng, singleton_only) -> (kept mask, op index
+# path), then the public samplers built on them
 # ---------------------------------------------------------------------------
 
 
-def sample_repair_uniform(
-    db: Database,
-    sigma: Iterable[FunctionalDependency],
-    rng: RandomSource,
-    singleton_only: bool = False,
-) -> Database:
-    """Uniform candidate repair of a primary-key instance.
+def _sampler_space(db: Database, sigma, kind: GeneratorKind) -> _Space:
+    """The space a kind's sampler draws on; raises unless it has one for these FDs."""
+    space = _space(db, frozenset(sigma))
+    if kind.family != "uo" and not space.primary_keys:
+        raise UnsupportedCombinationError(
+            f"no {kind.label} sampler beyond primary keys; uo/uo1 work for any FDs"
+        )
+    return space
 
-    The conflict components are the blocks of two or more facts. Every
-    block of size m independently keeps one survivor or empties (m+1
-    equally likely outcomes; m in singleton mode, where emptying is
-    unreachable). Draws happen in block order (relation, then key
-    values; _Space.block_order), which differs from the order of the
-    blocks' first facts when the key is not the first column. Raises
-    UnsupportedCombinationError unless the FDs are primary keys.
-    """
-    sigma = frozenset(sigma)
-    _require_sampler(db, sigma, UR1 if singleton_only else UR)
-    space = _space(db, sigma)
+
+def _draw_ur(space: _Space, rng: RandomSource, singleton_only: bool) -> tuple[int, None]:
     comps = space.components()
-    kept = set(space.untouched)
+    mask = 0
     for c in space.block_order():
         members = comps[c].facts
         m = len(members)
         choice = rng.randbelow(m if singleton_only else m + 1)
         if choice < m:
-            kept.add(space.facts[members[choice]])
-    return db._subset(frozenset(kept))
+            mask |= 1 << members[choice]
+    return mask, None
 
 
 @lru_cache(maxsize=4096)
@@ -242,38 +241,14 @@ def _step_table(
     return _profile_count(profile[::-1], singleton_only), w1, w2
 
 
-def sample_sequence_uniform(
-    db: Database,
-    sigma: Iterable[FunctionalDependency],
-    rng: RandomSource,
-    singleton_only: bool = False,
-) -> RepairingSequence:
-    """Uniform complete repairing sequence of a primary-key instance.
-
-    Each step draws a justified operation with probability proportional
-    to the number of complete sequences below it; the products telescope
-    so every leaf comes out at exactly 1/|CRS|. The step draws
-    r = randbelow(N(P)), with P the sorted sizes of the blocks still
-    active, and takes the operation at which the weights, summed in
-    canonical order (by first fact, (f,) before (f, g), then by g), pass
-    r. An operation's weight depends only on its block's size m and the
-    number k of facts it removes, so one cached table per profile
-    (_step_table) holds N(P) and every weight: a step is one lookup and
-    one scan of the remaining conflict facts in fact order, where fact f
-    weighs w1[m] plus w2[m] per later fact of its block. Blocks may
-    interleave in fact order (a key that is not the first column), so
-    the scan follows the facts, not the blocks. Raises
-    UnsupportedCombinationError unless the FDs are primary keys.
-    """
-    sigma = frozenset(sigma)
-    _require_sampler(db, sigma, US1 if singleton_only else US)
-    space = _space(db, sigma)
+def _draw_us(space: _Space, rng: RandomSource, singleton_only: bool) -> tuple[int, _Path]:
     comps = space.components()
     block = space.component_of
     remaining = [list(comp.facts) for comp in comps]
     sizes = [comp.n for comp in comps]
     profile = sorted(sizes)
     order = list(range(space.n))  # the facts still in an active block
+    mask = space.full_mask
     path: list[tuple[int, ...]] = []
     while order:
         total, w1, w2 = _step_table(tuple(profile), singleton_only)
@@ -296,6 +271,7 @@ def sample_sequence_uniform(
         path.append(removed)
         left = remaining[b]
         for q in removed:
+            mask ^= 1 << q
             left.remove(q)
             order.remove(q)
         profile.remove(sizes[b])
@@ -304,32 +280,10 @@ def sample_sequence_uniform(
             insort(profile, len(left))
         elif left:
             order.remove(left[0])
-    return RepairingSequence(tuple(space.operation_of(idx) for idx in path))
+    return mask, tuple(path)
 
 
-# ---------------------------------------------------------------------------
-# Uniform-operations walk (any FDs)
-# ---------------------------------------------------------------------------
-
-
-def sample_sequence_uo(
-    db: Database,
-    sigma: Iterable[FunctionalDependency],
-    rng: RandomSource,
-    singleton_only: bool = False,
-) -> RepairingSequence:
-    """Random walk picking a justified operation uniformly at each step.
-
-    Works for arbitrary FD sets; the leaf distribution is the
-    uniform-operations chain's by construction. The walk holds one mask
-    over the conflict facts and, per fact f, the number of justified
-    operations that start at f in canonical order: -f when f has a
-    present neighbour, then in pair mode -{f,g} for each present
-    neighbour g after f. A step draws r below their sum and takes the
-    r-th operation from a running sum of the counts; only the counts of
-    the removed facts' present neighbours change.
-    """
-    space = _space(db, frozenset(sigma))
+def _draw_uo(space: _Space, rng: RandomSource, singleton_only: bool) -> tuple[int, _Path]:
     nbr = space.nbr
     mask = space.full_mask
     # every conflict fact has a neighbour in the full database
@@ -364,20 +318,78 @@ def sample_sequence_uo(
             elif not singleton_only:
                 counts[g] = 1 + (present >> g + 1).bit_count()
         sums = list(accumulate(counts, initial=0))
-    return RepairingSequence(tuple(space.operation_of(idx) for idx in path))
+    return mask, tuple(path)
 
 
-_primary_keys = lru_cache(maxsize=256)(is_primary_keys)
+_DRAWS = {"ur": _draw_ur, "us": _draw_us, "uo": _draw_uo}
 
 
-def _require_sampler(
-    db: Database, sigma: frozenset[FunctionalDependency], kind: GeneratorKind
-) -> None:
-    """Raise unless the generator kind has a sampler for these FDs."""
-    if kind.family in ("ur", "us") and not _primary_keys(sigma, db.schema):
-        raise UnsupportedCombinationError(
-            f"no {kind.label} sampler beyond primary keys; uo/uo1 work for any FDs"
-        )
+def sample_repair_uniform(
+    db: Database,
+    sigma: Iterable[FunctionalDependency],
+    rng: RandomSource,
+    singleton_only: bool = False,
+) -> Database:
+    """Uniform candidate repair of a primary-key instance.
+
+    The conflict components are the blocks of two or more facts. Every
+    block of size m independently keeps one survivor or empties (m+1
+    equally likely outcomes; m in singleton mode, where emptying is
+    unreachable). Draws happen in block order (relation, then key
+    values; _Space.block_order), which differs from the order of the
+    blocks' first facts when the key is not the first column. Raises
+    UnsupportedCombinationError unless the FDs are primary keys.
+    """
+    space = _sampler_space(db, sigma, UR1 if singleton_only else UR)
+    return space.database_of(_draw_ur(space, rng, singleton_only)[0])
+
+
+def sample_sequence_uniform(
+    db: Database,
+    sigma: Iterable[FunctionalDependency],
+    rng: RandomSource,
+    singleton_only: bool = False,
+) -> RepairingSequence:
+    """Uniform complete repairing sequence of a primary-key instance.
+
+    Each step draws a justified operation with probability proportional
+    to the number of complete sequences below it; the products telescope
+    so every leaf comes out at exactly 1/|CRS|. The step draws
+    r = randbelow(N(P)), with P the sorted sizes of the blocks still
+    active, and takes the operation at which the weights, summed in
+    canonical order (by first fact, (f,) before (f, g), then by g), pass
+    r. An operation's weight depends only on its block's size m and the
+    number k of facts it removes, so one cached table per profile
+    (_step_table) holds N(P) and every weight: a step is one lookup and
+    one scan of the remaining conflict facts in fact order, where fact f
+    weighs w1[m] plus w2[m] per later fact of its block. Blocks may
+    interleave in fact order (a key that is not the first column), so
+    the scan follows the facts, not the blocks. Raises
+    UnsupportedCombinationError unless the FDs are primary keys.
+    """
+    space = _sampler_space(db, sigma, US1 if singleton_only else US)
+    return _sequence_of(space, _draw_us(space, rng, singleton_only)[1])
+
+
+def sample_sequence_uo(
+    db: Database,
+    sigma: Iterable[FunctionalDependency],
+    rng: RandomSource,
+    singleton_only: bool = False,
+) -> RepairingSequence:
+    """Random walk picking a justified operation uniformly at each step.
+
+    Works for arbitrary FD sets; the leaf distribution is the
+    uniform-operations chain's by construction. The walk holds one mask
+    over the conflict facts and, per fact f, the number of justified
+    operations that start at f in canonical order: -f when f has a
+    present neighbour, then in pair mode -{f,g} for each present
+    neighbour g after f. A step draws r below their sum and takes the
+    r-th operation from a running sum of the counts; only the counts of
+    the removed facts' present neighbours change.
+    """
+    space = _sampler_space(db, sigma, UO)
+    return _sequence_of(space, _draw_uo(space, rng, singleton_only)[1])
 
 
 def sample_outcome(
@@ -387,11 +399,7 @@ def sample_outcome(
     rng: RandomSource,
 ) -> SampleOutcome:
     """Draw once from the sampler matching the generator kind."""
-    sigma = frozenset(sigma)
-    if kind.family == "ur":
-        return SampleOutcome(sample_repair_uniform(db, sigma, rng, kind.singleton_only))
-    if kind.family == "us":
-        seq = sample_sequence_uniform(db, sigma, rng, kind.singleton_only)
-    else:
-        seq = sample_sequence_uo(db, sigma, rng, kind.singleton_only)
-    return SampleOutcome(seq.result(db), seq)
+    space = _sampler_space(db, sigma, kind)
+    mask, path = _DRAWS[kind.family](space, rng, kind.singleton_only)
+    seq = None if path is None else _sequence_of(space, path)
+    return SampleOutcome(space.database_of(mask), seq)

@@ -535,12 +535,53 @@ def test_sample_repair_only_for_uniform_repairs(files, capsys):
 
 def test_sample_beyond_primary_keys(files, capsys):
     triple = files("triple.json", TRIPLE_DOC)
-    code, _, _ = run(capsys, "sample", triple, "--generator", "us", "-n", "1")
-    assert code == 4
+    # the sampler is checked once per request, before any draw
+    for generator, n in (("us", "1"), ("us", "0"), ("ur", "0"), ("ur1", "0"), ("us1", "0")):
+        code, records, _ = run(capsys, "sample", triple, "--generator", generator, "-n", n)
+        assert code == 4 and records == [], (generator, n)
     code, records, _ = run(
         capsys, "sample", triple, "--generator", "uo", "-n", "2", "--seed", "0"
     )
     assert code == 0 and len(records) == 2
+
+
+CONSISTENT_DOC = {
+    "schema": {"R": ["A1", "A2"]},
+    "facts": [["R", "a1", "b1"], ["R", "a2", "b1"]],
+    "fds": [{"relation": "R", "lhs": ["A1"], "rhs": ["A2"]}],
+}
+
+
+@pytest.mark.parametrize(
+    "doc, generators",
+    [
+        # R(a2, b1) is in no conflict, so every record keeps it
+        (KEYED_DOC, ("ur", "us", "uo", "ur1", "us1", "uo1")),
+        (TRIPLE_DOC, ("uo", "uo1")),
+        (CONSISTENT_DOC, ("ur", "uo", "uo1")),
+    ],
+)
+def test_sample_records_match_the_api(files, capsys, doc, generators):
+    from opcqa.repairs import GENERATORS
+    from opcqa.sampling import RandomSource, sample_outcome
+
+    inst = files("inst.json", doc)
+    db, sigma = load_instance(inst)
+    for generator in generators:
+        kind = GENERATORS[generator]
+        argv = ("sample", inst, "--generator", generator, "-n", "30", "--seed", "6")
+        code, records, _ = run(capsys, *argv)
+        assert code == 0 and len(records) == 30
+        for i, record in enumerate(records):
+            o = sample_outcome(db, sigma, kind, RandomSource(6, i))
+            want = None if o.sequence is None else [str(op) for op in o.sequence]
+            assert record["sequence"] == want, (generator, i)
+            assert record["repair"] == [str(f) for f in o.repair.sorted_facts], (generator, i)
+            if doc is KEYED_DOC:
+                assert "R(a2,b1)" in record["repair"]
+            if doc is CONSISTENT_DOC:
+                assert record["sequence"] == (None if generator == "ur" else [])
+                assert record["repair"] == ["R(a1,b1)", "R(a2,b1)"]
 
 
 def test_negative_draw_count_or_cap_is_a_usage_error(files, capsys):

@@ -472,6 +472,41 @@ def test_stream_indicators_match_entailment_per_draw():
         assert got.tolist() == want, kind.label
 
 
+def test_scalar_reference_matches_brute_force_entailment_per_draw():
+    from opcqa import Atom, ConjunctiveQuery, Constant, Variable, sample_outcome
+
+    from bruteforce import bf_entails
+
+    keyed_db, keyed_sigma = keyed_instance()
+    x = Variable("x")
+    # R(a2, b1) is in no conflict: the witness of b1 joins it with the
+    # conflict fact R(a1, b1); b2 has no witness, as R(a2, b2) is absent
+    joined = ConjunctiveQuery(
+        (Atom("R", (Constant("a1"), x)), Atom("R", (Constant("a2"), x))), (x,)
+    )
+    # a witness of two conflict facts, from two blocks
+    across = ConjunctiveQuery(
+        (Atom("R", (Constant("a1"), x)), Atom("R", (Constant("a3"), x))), (x,)
+    )
+    triple_db, triple_sigma = triple_instance()
+    triple_q = ConjunctiveQuery((Atom("R", (Constant("a1"), x, Variable("z"))),), (x,))
+    cases = [
+        (keyed_db, keyed_sigma, kind, q, answer, answer == ("b1",))
+        for kind in (UR, US, UO, UR1, US1, UO1)
+        for q, answer in ((joined, ("b1",)), (joined, ("b2",)), (across, ("b1",)))
+    ] + [(triple_db, triple_sigma, kind, triple_q, ("b2",), True) for kind in (UO, UO1)]
+    for db, sigma, kind, q, answer, witnessed in cases:
+        stream = _ScalarStream(db, frozenset(sigma), kind, q, answer)
+        assert stream.witnessed == witnessed, (kind.label, answer)
+        got = stream.batch(13, 4, 200)
+        want = [
+            bf_entails(sample_outcome(db, sigma, kind, RandomSource(13, 4 + t)).repair, q, answer)
+            for t in range(200)
+        ]
+        assert got.tolist() == want, (kind.label, answer)
+        assert 0 < sum(want) < 200 or not witnessed, (kind.label, answer)
+
+
 def test_thread_count_does_not_change_results(monkeypatch):
     from opcqa import estimation
 
